@@ -48,12 +48,9 @@ TOOL = os.path.join(BUILD, "perfbench_tool")
 OUT_DIR = os.path.join(ROOT, ".bench_out")
 TMP_ROOT = os.path.join(ROOT, ".bench_tmp")
 
-# file_kcover: a 20M-edge zipf file, n=5000, k=50, eps=0.15.
-KCOVER = {
-    "full": {"edges": 20_000_000, "n": 5000, "k": 50, "eps": 0.15},
-    "tiny": {"edges": 200_000, "n": 500, "k": 10, "eps": 0.15},
-}
-SETUP_REPEATS = 3  # set-ups per run; setup_s is their median
+# Set-ups per run; setup_s is their median. The workload sizes live in
+# perfbench_tool (src/tool.hpp), which reports file_kcover's to this script.
+SETUP_REPEATS = 3
 SERVER_ARGS = ["--threads=2"]
 
 PER_LAYER = [
@@ -287,19 +284,10 @@ def median(values):
     return statistics.median(values)
 
 
-def quantile(values, q):
-    """Linear-interpolated quantile, as perfbench_tool computes them."""
-    ordered = sorted(values)
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
-
-
 # ------------------------------------------------------------ file_kcover --
 def kcover_argv(path, cfg, seed, threads):
-    return [CLI, "--cmd=kcover", f"--input={path}", f"--n={cfg['n']}",
-            f"--k={cfg['k']}", f"--eps={cfg['eps']}", f"--seed={seed}",
+    return [CLI, "--cmd=kcover", f"--input={path}", f"--n={cfg['n']:.0f}",
+            f"--k={cfg['k']:.0f}", f"--eps={cfg['eps']:g}", f"--seed={seed}",
             f"--threads={threads}"]
 
 
@@ -316,16 +304,16 @@ def parse_kcover(out):
     return estimate, solution
 
 
-def generate_file(tmp, cfg, seed):
-    """Writes the input SETUP_REPEATS times; returns (path, median seconds)."""
+def generate_file(tmp, scale, seed):
+    """Writes the input SETUP_REPEATS times; returns (path, the workload's
+    sizes as perfbench_tool reports them, median seconds)."""
     path = os.path.join(tmp, "kcover.bin")
     times = []
     for _ in range(SETUP_REPEATS):
         start = time.perf_counter()
-        tool("gen", f"--out={path}", f"--edges={cfg['edges']}",
-             f"--n={cfg['n']}", f"--seed={seed}")
+        cfg = tool("gen", f"--out={path}", f"--scale={scale}", f"--seed={seed}")
         times.append(time.perf_counter() - start)
-    return path, median(times)
+    return path, cfg, median(times)
 
 
 def run_kcover(path, cfg, seed, threads, results):
@@ -333,95 +321,109 @@ def run_kcover(path, cfg, seed, threads, results):
     if code != 0:
         raise CheckFailed(f"kcover --threads={threads} exited {code}",
                           attempted=len(results) + 1)
-    results.append({"threads": threads, "wall": wall, "rss": rss,
+    results.append({"seed": seed, "threads": threads, "wall": wall, "rss": rss,
                     "answer": parse_kcover(out)})
 
 
-def check_kcover(results, exact_cov, cfg, corrupt):
-    """Pooled and serial runs must print identical answers (DESIGN.md §5.5),
-    and the estimate must be within eps of the exact coverage."""
-    answers = [r["answer"] for r in results]
-    if corrupt:
-        answers[-1] = (answers[-1][0], answers[-1][1][::-1])
-    for i, answer in enumerate(answers):
-        if answer != answers[0]:
+def check_kcover(results, path, args, cfg):
+    """Every job with one sketch seed, pooled or serial, must print the same
+    answer (DESIGN.md §5.5), and each seed's estimate must be within eps of
+    the exact coverage of its solution, which an untimed pass over the file
+    by this package's own parser gives. Returns the mean relative error and
+    the exact coverage per seed."""
+    if args.corrupt:
+        estimate, solution = results[-1]["answer"]
+        results[-1]["answer"] = (estimate, solution[::-1])
+    answers = {}
+    for r in results:
+        first = answers.setdefault(r["seed"], r["answer"])
+        if r["answer"] != first:
             raise CheckFailed(
-                f"kcover run {i} (--threads={results[i]['threads']}) printed "
-                f"{answer}, run 0 printed {answers[0]}",
+                f"kcover --seed={r['seed']} --threads={r['threads']} printed "
+                f"{r['answer']}, an earlier job printed {first}",
                 attempted=len(results) + 1)
-    rel_err = abs(float(answers[0][0]) - exact_cov) / exact_cov
-    if rel_err > cfg["eps"]:
-        raise CheckFailed(f"estimate {answers[0][0]} vs exact {exact_cov}: "
-                          f"relative error {rel_err:.4f} > eps",
-                          attempted=len(results) + 1)
-    return rel_err
-
-
-def exact_coverage(path, cfg, solution):
-    return tool("exact", f"--input={path}", f"--n={cfg['n']}",
-                "--sets=" + ",".join(solution))["coverage"]
+    seeds = sorted(answers)
+    exact = tool("exact", f"--input={path}", f"--scale={args.scale}",
+                 "--sets=" + "/".join(",".join(answers[s][1]) for s in seeds))["coverage"]
+    rel_errs = []
+    for seed, coverage in zip(seeds, exact):
+        rel_err = abs(float(answers[seed][0]) - coverage) / coverage
+        if rel_err > cfg["eps"]:
+            raise CheckFailed(f"kcover --seed={seed}: estimate {answers[seed][0]} vs "
+                              f"exact {coverage}: relative error {rel_err:.4f} > eps",
+                              attempted=len(results) + 1)
+        rel_errs.append(rel_err)
+    return statistics.fmean(rel_errs), dict(zip(seeds, exact))
 
 
 def file_kcover(args, tmp):
-    cfg = KCOVER[args.scale]
-    path, setup_s = generate_file(tmp, cfg, args.seed)
+    path, cfg, setup_s = generate_file(tmp, args.scale, args.seed)
+    pooled_threads = int(cfg["pooled_threads"])
     results = []
     if args.trace:
         return file_kcover_traced(args, tmp, cfg, path, results)
-    # Alternate which thread count goes first, so slow spells of the shared
-    # host land on both sides alike.
+    # One untimed job first, so the file and the allocator are warm. Then
+    # rounds of pooled, serial, pooled: two pooled jobs per serial one, since
+    # three metrics rest on the pooled job; the serial job sits between
+    # them, so slow spells of the shared host land on both alike.
+    # Each round uses its own sketch seed, so estimate_accuracy averages
+    # over about ten sketches rather than resting on one.
+    run_kcover(path, cfg, args.seed * 1000, pooled_threads, [])
     deadline = time.perf_counter() + args.seconds
-    pair = 0
-    while pair < 2 or time.perf_counter() < deadline:
-        order = (4, 1) if pair % 2 == 0 else (1, 4)
-        for threads in order:
-            run_kcover(path, cfg, args.seed, threads, results)
-        pair += 1
-    exact = exact_coverage(path, cfg, results[0]["answer"][1])
-    rel_err = check_kcover(results, exact, cfg, args.corrupt)
-    pooled = [r["wall"] for r in results if r["threads"] == 4]
+    rounds = 0
+    while rounds < 2 or time.perf_counter() < deadline:
+        for threads in (pooled_threads, 1, pooled_threads):
+            run_kcover(path, cfg, args.seed * 1000 + rounds, threads, results)
+        rounds += 1
+    rel_err, exact = check_kcover(results, path, args, cfg)
+    pooled = [r["wall"] for r in results if r["threads"] == pooled_threads]
     serial = [r["wall"] for r in results if r["threads"] == 1]
+    # For a batch job, throughput and job time are one measurement:
+    # rate_per_s and p50_ms both come from the median pooled job. The
+    # metric set is shared with wire_ingest, where they differ.
     metrics = end_to_end(
         setup_s=setup_s,
-        peak_rss_mb=median([r["rss"] for r in results if r["threads"] == 4]),
+        peak_rss_mb=median([r["rss"] for r in results if r["threads"] == pooled_threads]),
         rate_per_s=cfg["edges"] / median(pooled),
         serial_rate_per_s=cfg["edges"] / median(serial),
         p50_ms=median(pooled) * 1e3,
-        p90_ms=quantile(pooled, 0.9) * 1e3,
         estimate_accuracy=1.0 - rel_err)
-    detail = {"runs": len(results), "exact_coverage": exact, "rel_err": rel_err,
-              "pooled_walls": pooled, "serial_walls": serial}
+    detail = {"workload": cfg, "runs": len(results), "exact_coverage": exact,
+              "mean_rel_err": rel_err, "pooled_walls": pooled, "serial_walls": serial}
     return len(results) + 1, metrics, detail
 
 
 def file_kcover_traced(args, tmp, cfg, path, results):
-    # Untraced reference: the CLI processes. Traced: the in-process replay
-    # of the same job with a span around every layer call.
-    for threads in (1, 4, 1, 4, 1, 4):
+    """Per-layer metrics from perfbench_tool trace-kcover, which replays the
+    CLI's job in process, alternately untraced and traced. The CLI jobs run
+    here are the untraced reference the replay must reproduce."""
+    pooled_threads = int(cfg["pooled_threads"])
+    for threads in (1, pooled_threads) * 3:
         run_kcover(path, cfg, args.seed, threads, results)
-    spans = os.path.join(OUT_DIR, "spans-file_kcover")
-    traces = [tool("trace-kcover", f"--input={path}", f"--n={cfg['n']}",
-                   f"--k={cfg['k']}", f"--eps={cfg['eps']}", f"--seed={args.seed}",
-                   "--threads=4", f"--tmp={tmp}", f"--spans={spans}")
-              for _ in range(2)]
-    for t in traces:
-        for side in ("serial", "pooled"):
-            results.append({"threads": 1 if side == "serial" else 4, "wall": 0,
-                            "rss": 0, "answer": (f"{t[side + '_estimate']:.0f}",
-                                                 t[side + "_solution"].split(","))})
-    exact = exact_coverage(path, cfg, results[0]["answer"][1])
-    rel_err = check_kcover(results, exact, cfg, args.corrupt)
+    t = tool("trace-kcover", f"--input={path}", f"--scale={args.scale}",
+             f"--seed={args.seed}", f"--tmp={tmp}",
+             f"--spans={os.path.join(OUT_DIR, 'spans-file_kcover')}")
+    if not t["replays_agree"]:
+        raise CheckFailed("the in-process replays printed different answers",
+                          attempted=len(results) + 1)
+    for side, threads in (("serial", 1), ("pooled", pooled_threads)):
+        results.append({"seed": args.seed, "threads": threads, "wall": 0, "rss": 0,
+                        "answer": (f"{t[side + '_estimate']:.0f}",
+                                   t[side + "_solution"].split(","))})
+    rel_err, exact = check_kcover(results, path, args, cfg)
 
-    serial_wall = median([r["wall"] for r in results if r["threads"] == 1 and r["wall"]])
-    pooled_wall = median([r["wall"] for r in results if r["threads"] == 4 and r["wall"]])
-    # The trace whose serial replay took the median time supplies the layers.
-    t = sorted(traces, key=lambda tr: tr["serial_wall_s"])[len(traces) // 2]
+    cli_serial = median([r["wall"] for r in results if r["threads"] == 1 and r["wall"]])
+    cli_pooled = median([r["wall"] for r in results
+                         if r["threads"] == pooled_threads and r["wall"]])
     serial_self, pooled_self = t["serial_self_s"], t["pooled_self_s"]
-    traced_serial = sum(serial_self.values())
-    traced_pooled = sum(pooled_self.values())
-    log(f"file_kcover self-time sums: serial {traced_serial:.3f} s vs untraced "
-        f"{serial_wall:.3f} s; pooled {traced_pooled:.3f} s vs untraced "
-        f"{pooled_wall:.3f} s")
+    # The traced replay's self times against the CLI job they stand for, and
+    # the traced replay against the same replay untraced.
+    self_sum = sum(serial_self.values())
+    overhead = median(t["serial_traced_s"]) / median(t["serial_untraced_s"]) - 1.0
+    log(f"file_kcover serial self-time sum {self_sum:.3f} s vs CLI job "
+        f"{cli_serial:.3f} s; replay untraced {median(t['serial_untraced_s']):.3f} s, "
+        f"traced {median(t['serial_traced_s']):.3f} s; pooled self-time sum "
+        f"{sum(pooled_self.values()):.3f} s vs CLI job {cli_pooled:.3f} s")
     layers = zero_layers()
     layers.update({
         "stream.read_s": serial_self.get("stream.read", 0.0),
@@ -440,12 +442,11 @@ def file_kcover_traced(args, tmp, cfg, path, results):
         "core.estimate_scan_ms": t["estimate_scan_ms"],
         "sketch.snapshot.spill_ms": t["spill_ms"],
         "sketch.snapshot.reload_ms": t["reload_ms"],
-        "trace.self_sum_ratio": traced_serial / serial_wall,
-        "trace.overhead_ratio": traced_serial / serial_wall - 1.0,
+        "trace.self_sum_ratio": self_sum / cli_serial,
+        "trace.overhead_ratio": overhead,
     })
-    detail = {"serial_self_s": serial_self, "pooled_self_s": pooled_self,
-              "untraced_serial_s": serial_wall, "untraced_pooled_s": pooled_wall,
-              "traced_pooled_s": traced_pooled, "exact_coverage": exact}
+    detail = {"workload": cfg, "trace": t, "cli_serial_s": cli_serial,
+              "cli_pooled_s": cli_pooled, "exact_coverage": exact}
     return len(results) + 1, layer_metrics(layers), detail
 
 
@@ -453,7 +454,7 @@ def file_kcover_traced(args, tmp, cfg, path, results):
 # read off that workload's own unit of work; see README.md for the table.
 END_TO_END = {
     "setup_s": "s", "peak_rss_mb": "MB", "rate_per_s": "1/s",
-    "serial_rate_per_s": "1/s", "p50_ms": "ms", "p90_ms": "ms",
+    "serial_rate_per_s": "1/s", "p50_ms": "ms",
     "estimate_accuracy": "ratio",
 }
 
@@ -509,22 +510,30 @@ def wire_ingest(args, tmp):
                           attempted=int(run["attempted"]), failed=int(run["failed"]))
     attempted = int(run["attempted"])
     if args.trace:
-        return attempted, wire_layers(args, tmp, run), {"phases": run["phases"]}
+        metrics, replay = wire_layers(args, tmp, run)
+        return attempted, metrics, {"phases": run["phases"], "replay": replay}
 
-    phases = {p["name"]: p for p in run["phases"] if p["name"] != "ladder"}
-    ladder = [p for p in run["phases"] if p["name"] == "ladder"]
+    def slices(name):
+        return [p for p in run["phases"] if p["name"] == name]
+
+    def closed_loop_rate(name, conns):
+        # Each connection's pace at the median round trip: a stall of the
+        # shared host slows a few requests, not the median.
+        return conns * 1e3 / median([p["all_p50_ms"] for p in slices(name)])
+
+    # Each figure is a median over the run's slices of that phase (see
+    # wire.cpp), so a slow spell of the host over a few slices does not set it.
+    max_rate_rps = max_rate(slices("ladder"), run["p99_limit_ms"])
     metrics = end_to_end(
         setup_s=median(setups),
         peak_rss_mb=rss,
-        rate_per_s=max_rate(ladder, run["p99_limit_ms"]),
-        # One closed-loop stream at its median round trip: the median keeps
-        # a stall of the shared host from counting as the stream's pace.
-        serial_rate_per_s=1e3 / phases["serial"]["all_p50_ms"],
-        p50_ms=phases["reference"]["ingest"]["p50_ms"],
-        p90_ms=phases["reference"]["ingest"]["p90_ms"],
+        rate_per_s=closed_loop_rate("concurrent", 4),
+        serial_rate_per_s=closed_loop_rate("serial", 1),
+        p50_ms=median([p["ingest"]["p50_ms"] for p in slices("reference")]),
         estimate_accuracy=run["estimate_accuracy"])
-    detail = {"setups_s": setups, "phases": run["phases"],
-              "estimates_checked": run["estimates_checked"]}
+    log(f"wire_ingest max_rate_rps {max_rate_rps:.0f} (record detail only)")
+    detail = {"setups_s": setups, "max_rate_rps": max_rate_rps,
+              "phases": run["phases"], "estimates_checked": run["estimates_checked"]}
     return attempted, metrics, detail
 
 
@@ -556,7 +565,6 @@ def wire_layers(args, tmp, run):
     traced = next(p for p in run["phases"] if p["name"] == "traced")
     replay = tool("trace-fleet", f"--scale={args.scale}", f"--seed={args.seed}",
                   f"--tmp={tmp}",
-                  "--reps=" + ("40" if args.scale == "tiny" else "200"),
                   f"--spans={os.path.join(OUT_DIR, 'spans-wire_ingest')}.replay.json")
 
     def ms(name):
@@ -567,13 +575,18 @@ def wire_layers(args, tmp, run):
     dispatch = ms("serve.dispatch.ingest")
     fleet = ms("serve.fleet.ingest")
     inner = {"core.admit": ms("core.admit"), "serve.publish": ms("serve.publish")}
-    selfs = {"serve.net": rtt - dispatch, "serve.dispatch": dispatch - fleet,
+    # Every part is measured on its own: the network/reactor path is the
+    # live `ping` round trip under the same load (socket, reactor, a pool
+    # thread, no fleet layer); the server layers are the replay's medians.
+    # Their sum is then checked against the untraced ingest round trip.
+    selfs = {"serve.net": traced["ping"]["p50_ms"], "serve.dispatch": dispatch - fleet,
              "serve.fleet": fleet - sum(inner.values()), **inner}
     selfs = {name: max(value, 0.0) for name, value in selfs.items()}
     total = sum(selfs.values())
     log("wire_ingest ingest self times (ms): "
         + ", ".join(f"{k} {v:.3f}" for k, v in selfs.items())
-        + f"; sum {total:.3f} vs untraced p50 {untraced_rtt:.3f}")
+        + f"; sum {total:.3f} vs untraced p50 {untraced_rtt:.3f}, left unexplained "
+        f"{untraced_rtt - total:.3f}")
 
     delta = traced["stats_delta"]
     served = max(traced["sent"], 1)
@@ -603,7 +616,7 @@ def wire_layers(args, tmp, run):
         "trace.self_sum_ratio": total / untraced_rtt,
         "trace.overhead_ratio": rtt / untraced_rtt - 1.0,
     })
-    return layer_metrics(layers)
+    return layer_metrics(layers), replay
 
 
 WORKLOADS = {"file_kcover": file_kcover, "wire_ingest": wire_ingest}

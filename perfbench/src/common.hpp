@@ -26,14 +26,15 @@ using covstream::ElemId;
 using covstream::SetId;
 
 // ------------------------------------------------------------------ flags --
-/// `--key=value` flags; a missing key falls back to the given default and an
-/// unknown key is fatal (finish()), so a typo cannot silently change a run.
+/// `--key=value` flags. Every flag a subcommand reads is required, and an
+/// unknown key is fatal (finish()), so a typo or a missing value cannot
+/// silently change a run.
 class Flags {
  public:
   Flags(int argc, char** argv, int first);
-  std::string str(const std::string& key, const std::string& fallback);
-  std::uint64_t u64(const std::string& key, std::uint64_t fallback);
-  double f64(const std::string& key, double fallback);
+  std::string str(const std::string& key);
+  std::uint64_t u64(const std::string& key);
+  double f64(const std::string& key);
   void finish() const;
 
  private:
@@ -60,14 +61,13 @@ class SeededRng {
     return static_cast<std::uint64_t>(
         (static_cast<unsigned __int128>(next()) * bound) >> 64);
   }
-  double unit() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
  private:
   std::uint64_t state_;
 };
 
-/// Zipf(alpha) over [0, support) by Vose's alias method: O(1) per draw, so
-/// a 20M-edge input costs two table lookups per edge.
+/// Zipf(alpha) over [0, support) by Vose's alias method: O(1) per draw, one
+/// random word and two table lookups.
 class ZipfAlias {
  public:
   ZipfAlias(std::size_t support, double alpha);
@@ -84,35 +84,68 @@ class ZipfAlias {
   std::vector<std::uint32_t> alias_;
 };
 
-/// Edges in random arrival order: each edge draws its set from a Zipf
-/// popularity (set ids shuffled) and its element from a Zipf popularity
-/// (ranks scrambled through a 64-bit bijection). Nothing is materialized.
-class EdgeSource {
+/// The model of the library's make_zipf (`covstream_cli --cmd=generate
+/// --family=zipf`): set s draws min_size + Zipf(alpha_sets) element samples,
+/// with replacement, from a Zipf(alpha_elems) popularity over num_elems
+/// elements (ranks relabeled by a seeded shuffle), and keeps the distinct
+/// ones, as CoverageInstance::from_edges does.
+struct ZipfShape {
+  SetId num_sets;
+  ElemId num_elems;
+  std::size_t min_size;
+  std::size_t max_size;
+  double alpha_sets;
+  double alpha_elems;
+};
+
+/// Draws the instance one set at a time, so memory is one set plus the
+/// element tables, never the whole instance.
+class ZipfSets {
  public:
-  struct Shape {
-    SetId num_sets;
-    std::size_t elem_ranks;
-    double alpha_sets;
-    double alpha_elems;
-  };
-  EdgeSource(const Shape& shape, std::uint64_t seed);
-  Edge next() {
-    const SetId set = set_ids_[sets_.sample(rng_)];
-    const ElemId elem = mix64(elems_.sample(rng_) + elem_salt_);
-    return Edge{set, elem};
-  }
-  void fill(std::vector<Edge>& out, std::size_t count) {
-    out.resize(count);
-    for (Edge& edge : out) edge = next();
-  }
+  ZipfSets(const ZipfShape& shape, std::uint64_t seed);
+  /// The distinct elements of the next set, in draw order; false after the
+  /// last set.
+  bool next_set(SetId* set, std::vector<ElemId>* elems);
+  /// Element samples drawn so far, duplicates included.
+  std::uint64_t draws() const { return draws_; }
 
  private:
+  ZipfShape shape_;
   SeededRng rng_;
-  ZipfAlias sets_;
+  ZipfAlias sizes_;
   ZipfAlias elems_;
-  std::vector<SetId> set_ids_;
-  std::uint64_t elem_salt_;
+  std::vector<std::uint32_t> relabel_;
+  std::vector<std::uint32_t> stamp_;  // set id + 1 that last drew the rank
+  SetId next_ = 0;
+  std::uint64_t draws_ = 0;
 };
+
+/// A whole ZipfShape instance in random arrival order, in memory (the wire
+/// tenants are small). Read in order; after the last edge it starts over.
+class EdgeCycle {
+ public:
+  EdgeCycle(const ZipfShape& shape, std::uint64_t seed);
+  void fill(std::vector<Edge>& out, std::size_t count) {
+    out.resize(count);
+    for (Edge& edge : out) {
+      edge = edges_[at_];
+      at_ = at_ + 1 == edges_.size() ? 0 : at_ + 1;
+    }
+  }
+  std::size_t size() const { return edges_.size(); }
+
+ private:
+  std::vector<Edge> edges_;
+  std::size_t at_ = 0;
+};
+
+/// Fisher-Yates over `items`.
+template <typename T>
+void shuffle(std::vector<T>& items, SeededRng& rng) {
+  for (std::size_t i = items.size(); i > 1; --i) {
+    std::swap(items[i - 1], items[rng.below(i)]);
+  }
+}
 
 /// `count` distinct set ids from [0, num_sets), in draw order.
 std::vector<SetId> random_family(SeededRng& rng, SetId num_sets,

@@ -32,27 +32,26 @@ Flags::Flags(int argc, char** argv, int first) {
   }
 }
 
-std::string Flags::str(const std::string& key, const std::string& fallback) {
+std::string Flags::str(const std::string& key) {
   used_[key] = true;
   const auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  if (it == values_.end()) die("missing flag --" + key);
+  return it->second;
 }
 
-std::uint64_t Flags::u64(const std::string& key, std::uint64_t fallback) {
-  const std::string text = str(key, "");
-  if (text.empty()) return fallback;
+std::uint64_t Flags::u64(const std::string& key) {
+  const std::string text = str(key);
   char* end = nullptr;
   const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') die("bad integer for --" + key);
+  if (text.empty() || *end != '\0') die("bad integer for --" + key);
   return value;
 }
 
-double Flags::f64(const std::string& key, double fallback) {
-  const std::string text = str(key, "");
-  if (text.empty()) return fallback;
+double Flags::f64(const std::string& key) {
+  const std::string text = str(key);
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') die("bad number for --" + key);
+  if (text.empty() || *end != '\0') die("bad number for --" + key);
   return value;
 }
 
@@ -99,16 +98,44 @@ ZipfAlias::ZipfAlias(std::size_t support, double alpha)
   for (const std::uint32_t i : large) threshold_[i] = 0xffffffffU, alias_[i] = i;
 }
 
-EdgeSource::EdgeSource(const Shape& shape, std::uint64_t seed)
-    : rng_(seed),
-      sets_(shape.num_sets, shape.alpha_sets),
-      elems_(shape.elem_ranks, shape.alpha_elems),
-      set_ids_(shape.num_sets),
-      elem_salt_(mix64(seed ^ 0x5a17ed5a17edULL)) {
-  for (SetId s = 0; s < shape.num_sets; ++s) set_ids_[s] = s;
-  for (std::size_t i = set_ids_.size(); i > 1; --i) {
-    std::swap(set_ids_[i - 1], set_ids_[rng_.below(i)]);
+ZipfSets::ZipfSets(const ZipfShape& shape, std::uint64_t seed)
+    : shape_(shape),
+      rng_(seed),
+      sizes_(shape.max_size - shape.min_size + 1, shape.alpha_sets),
+      elems_(static_cast<std::size_t>(shape.num_elems), shape.alpha_elems),
+      relabel_(static_cast<std::size_t>(shape.num_elems)),
+      stamp_(static_cast<std::size_t>(shape.num_elems), 0) {
+  for (std::size_t e = 0; e < relabel_.size(); ++e) {
+    relabel_[e] = static_cast<std::uint32_t>(e);
   }
+  shuffle(relabel_, rng_);
+}
+
+bool ZipfSets::next_set(SetId* set, std::vector<ElemId>* elems) {
+  if (next_ == shape_.num_sets) return false;
+  *set = next_++;
+  elems->clear();
+  const std::size_t size = shape_.min_size + sizes_.sample(rng_);
+  for (std::size_t i = 0; i < size; ++i) {
+    const std::size_t rank = elems_.sample(rng_);
+    if (stamp_[rank] != *set + 1) {
+      stamp_[rank] = *set + 1;
+      elems->push_back(relabel_[rank]);
+    }
+  }
+  draws_ += size;
+  return true;
+}
+
+EdgeCycle::EdgeCycle(const ZipfShape& shape, std::uint64_t seed) {
+  ZipfSets sets(shape, seed);
+  SetId set = 0;
+  std::vector<ElemId> elems;
+  while (sets.next_set(&set, &elems)) {
+    for (const ElemId elem : elems) edges_.push_back({set, elem});
+  }
+  SeededRng rng(mix64(seed ^ 0x0ddc0ffeeULL));
+  shuffle(edges_, rng);
 }
 
 std::vector<SetId> random_family(SeededRng& rng, SetId num_sets,
@@ -195,7 +222,9 @@ double median(std::vector<double> values) { return quantile(std::move(values), 0
 
 void JsonOut::key(const std::string& k) {
   if (!body_.empty()) body_ += ", ";
-  body_ += "\"" + json_escape(k) + "\": ";
+  body_ += '"';
+  body_ += json_escape(k);
+  body_ += "\": ";
 }
 
 JsonOut& JsonOut::num(const std::string& k, double value) {
@@ -209,7 +238,9 @@ JsonOut& JsonOut::num(const std::string& k, double value) {
 
 JsonOut& JsonOut::str(const std::string& k, const std::string& value) {
   key(k);
-  body_ += "\"" + json_escape(value) + "\"";
+  body_ += '"';
+  body_ += json_escape(value);
+  body_ += '"';
   return *this;
 }
 

@@ -14,8 +14,8 @@
 //   solve.greedy     Solver + greedy pick       (cold solve)
 //   sketch.snapshot  save_snapshot / load_snapshot of a tenant sketch
 //
-// run.py composes these with the live client round trip into one request's
-// span tree (round trip > dispatch > fleet call > admit + publish).
+// run.py adds the live round trip of `ping` (the network/reactor path) to
+// these self times and compares the sum with the live `ingest` round trip.
 #include <filesystem>
 #include <optional>
 
@@ -56,19 +56,16 @@ struct Series {
 }  // namespace
 
 int cmd_trace_fleet(Flags& flags) {
-  const std::string scale = flags.str("scale", "full");
-  const std::uint64_t seed = flags.u64("seed", 1);
-  const std::string tmp = flags.str("tmp", "");
-  const std::string spans = flags.str("spans", "");
-  const int reps = static_cast<int>(flags.u64("reps", 100));
+  const IngestWorkload w = ingest_workload(flags.str("scale"));
+  const std::uint64_t seed = flags.u64("seed");
+  const std::string tmp = flags.str("tmp");
+  const std::string spans = flags.str("spans");
   flags.finish();
-  if (tmp.empty()) die("trace-fleet needs --tmp");
-  const IngestWorkload w = ingest_workload(scale);
 
   SketchFleet fleet(SketchFleet::Options{});
 
   // The server's setup, line for line.
-  std::vector<EdgeSource> sources;
+  std::vector<EdgeCycle> sources;
   std::vector<Edge> edges;
   for (std::size_t t = 0; t < w.tenants; ++t) {
     const std::uint64_t tseed = tenant_seed(seed, t);
@@ -92,7 +89,7 @@ int cmd_trace_fleet(Flags& flags) {
   double sink = 0.0;
   std::optional<SubsampleSketch> twin;
   std::shared_ptr<const SubsampleSketch> published;
-  for (int i = 0; i < reps; ++i) {
+  for (std::size_t i = 0; i < w.replay_reps; ++i) {
     const std::vector<SetId> family = random_family(rng, w.n, w.family_sets);
     const std::string estimate = "estimate " + name + " " + family_text(family);
     series.time("serve.dispatch.estimate", [&] { sink += execute(fleet, estimate).size(); });
@@ -160,6 +157,8 @@ int cmd_trace_fleet(Flags& flags) {
       .num("peak_space_words", static_cast<double>(handle->peak_space_words()))
       .num("p_star", handle->p_star())
       .num("saturated", handle->saturated() ? 1.0 : 0.0)
+      .num("tenant_edges", static_cast<double>(sources[0].size()))
+      .num("space_words", static_cast<double>(handle->space_words()))
       .num("kept_ratio", static_cast<double>(handle->stored_edges()) /
                              static_cast<double>(std::max<std::uint64_t>(1, stats->edges_ingested)))
       .num("sink", sink > 0 ? 1.0 : 0.0);

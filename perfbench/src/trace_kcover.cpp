@@ -12,7 +12,10 @@
 //     core.merge               SubsampleSketch::merge_from (pooled only)
 //     solve.view               SubsampleSketch::view
 //     solve.greedy             Solver + greedy pick
+#include <malloc.h>
+
 #include <filesystem>
+#include <memory>
 #include <optional>
 
 #include "core/distributed.hpp"
@@ -67,13 +70,14 @@ struct Replay {
   std::optional<SubsampleSketch> sketch;
 };
 
+/// One k-cover job; `tracer` null runs it untraced (every Scope a no-op).
 Replay replay(const std::string& input, const SketchParams& params,
-              std::uint32_t k, std::size_t threads, Tracer& tracer) {
+              std::uint32_t k, std::size_t threads, Tracer* tracer) {
   Replay out;
   const std::int64_t start = now_ns();
   {
-    const Scope root(&tracer, "kcover", 0);
-    TimedStream stream(input, &tracer);
+    const Scope root(tracer, "kcover", 0);
+    TimedStream stream(input, tracer);
     std::optional<covstream::ThreadPool> pool;
     if (threads > 1) pool.emplace(threads);
     covstream::ThreadPool* pool_ptr = pool ? &*pool : nullptr;
@@ -81,7 +85,7 @@ Replay replay(const std::string& input, const SketchParams& params,
       std::vector<SubsampleSketch> shards(threads, SubsampleSketch(params));
       out.shard_admit_s.assign(threads, 0.0);
       {
-        const Scope engine(&tracer, "stream.engine", root.id());
+        const Scope engine(tracer, "stream.engine", root.id());
         stream.parent = engine.id();
         const StreamEngine::Router router = covstream::make_shard_router(
             covstream::ShardRouting::kRoundRobin, threads,
@@ -89,7 +93,7 @@ Replay replay(const std::string& input, const SketchParams& params,
         StreamEngine({0, pool_ptr})
             .run_partitioned(stream, {}, threads, router,
                              [&](std::size_t s, std::span<const Edge> chunk) {
-                               const Scope span(&tracer, "core.admit", engine.id());
+                               const Scope span(tracer, "core.admit", engine.id());
                                const std::int64_t t0 = now_ns();
                                shards[s].update_chunk(chunk);
                                out.shard_admit_s[s] +=
@@ -99,11 +103,11 @@ Replay replay(const std::string& input, const SketchParams& params,
       {
         // ShardedSketchBuilder::finalize's pairwise tree, one pool task per
         // disjoint pair per level.
-        const Scope merge(&tracer, "core.merge", root.id());
+        const Scope merge(tracer, "core.merge", root.id());
         for (std::size_t step = 1; step < shards.size(); step *= 2) {
           for (std::size_t i = 0; i + step < shards.size(); i += 2 * step) {
             pool->submit([&, i, step] {
-              const Scope pair(&tracer, "core.merge", merge.id());
+              const Scope pair(tracer, "core.merge", merge.id());
               shards[i].merge_from(shards[i + step]);
             });
           }
@@ -113,20 +117,20 @@ Replay replay(const std::string& input, const SketchParams& params,
       out.sketch.emplace(std::move(shards[0]));
     } else {
       out.sketch.emplace(params);
-      const Scope engine(&tracer, "stream.engine", root.id());
+      const Scope engine(tracer, "stream.engine", root.id());
       stream.parent = engine.id();
       StreamEngine({0, nullptr}).run(stream, {}, [&](std::span<const Edge> chunk) {
-        const Scope span(&tracer, "core.admit", engine.id());
+        const Scope span(tracer, "core.admit", engine.id());
         out.sketch->update_chunk(chunk);
       });
     }
     std::optional<SketchView> view;
     {
-      const Scope span(&tracer, "solve.view", root.id());
+      const Scope span(tracer, "solve.view", root.id());
       view.emplace(out.sketch->view());
     }
     {
-      const Scope span(&tracer, "solve.greedy", root.id());
+      const Scope span(tracer, "solve.greedy", root.id());
       Solver solver(*view, pool_ptr);
       out.result = covstream::kcover_with_solver(*out.sketch, *view, solver, k);
     }
@@ -149,38 +153,77 @@ double median_ms(int reps, Fn&& fn) {
   return median(ms);
 }
 
+/// Each thread count is replayed kReps times untraced and kReps times
+/// traced, alternately, so a slow spell of the host lands on both sides.
+constexpr int kReps = 3;
+
+struct Side {
+  Replay first;       // the first replay: answer, sketch, shard admit times
+  bool agree = true;  // every replay printed first's answer
+  std::vector<double> untraced_s;
+  std::vector<double> traced_s;
+  std::vector<std::unique_ptr<Tracer>> traces;  // one per traced replay
+
+  const Tracer& median_trace() const {
+    std::vector<std::size_t> order(traces.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return traced_s[a] < traced_s[b]; });
+    return *traces[order[order.size() / 2]];
+  }
+};
+
+Side replay_side(const std::string& input, const SketchParams& params,
+                 std::uint32_t k, std::size_t threads) {
+  Side side;
+  for (int rep = 0; rep < kReps; ++rep) {
+    side.traces.push_back(std::make_unique<Tracer>());
+    for (Tracer* tracer : {static_cast<Tracer*>(nullptr), side.traces.back().get()}) {
+      Replay r = replay(input, params, k, threads, tracer);
+      (tracer == nullptr ? side.untraced_s : side.traced_s).push_back(r.wall_s);
+      if (rep == 0 && tracer == nullptr) {
+        side.first = std::move(r);
+      } else {
+        side.agree = side.agree && r.result.solution == side.first.result.solution &&
+                     r.result.estimated_coverage == side.first.result.estimated_coverage;
+      }
+    }
+  }
+  return side;
+}
+
 }  // namespace
 
 int cmd_trace_kcover(Flags& flags) {
-  const std::string input = flags.str("input", "");
-  const SetId n = static_cast<SetId>(flags.u64("n", 0));
-  const std::uint32_t k = static_cast<std::uint32_t>(flags.u64("k", 10));
-  const double eps = flags.f64("eps", 0.15);
-  const std::uint64_t seed = flags.u64("seed", 1);
-  const std::size_t threads = flags.u64("threads", 4);
-  const std::string spans = flags.str("spans", "");
-  const std::string tmp = flags.str("tmp", "");
+  const std::string input = flags.str("input");
+  const KCoverWorkload w = kcover_workload(flags.str("scale"));
+  const std::uint64_t seed = flags.u64("seed");
+  const std::string spans = flags.str("spans");
+  const std::string tmp = flags.str("tmp");
   flags.finish();
-  if (input.empty() || n == 0 || tmp.empty()) die("trace-kcover needs --input, --n, --tmp");
+
+  // A fresh CLI process maps (and page-faults) every large block it
+  // allocates. glibc would otherwise keep the first replay's freed blocks
+  // on the heap and hand them, already faulted in, to the later replays,
+  // which would then skip a cost the CLI job pays. A fixed mmap threshold
+  // returns each replay's large blocks to the kernel when freed.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
 
   // streaming_kcover's parameters: Algorithm 3 drives the sketch at eps/12.
   covstream::StreamingOptions options;
-  options.eps = eps;
+  options.eps = w.eps;
   options.seed = seed;
-  const SketchParams params = options.sketch_params(n, k, eps / 12.0);
+  const SketchParams params = options.sketch_params(w.shape.num_sets, w.k, w.eps / 12.0);
 
-  Tracer serial_trace;
-  Tracer pooled_trace;
-  const Replay serial = replay(input, params, k, 1, serial_trace);
-  const Replay pooled = replay(input, params, k, threads, pooled_trace);
-  if (!spans.empty() &&
-      !(serial_trace.write_json(spans + ".serial.json") &&
-        pooled_trace.write_json(spans + ".pooled.json"))) {
+  const Side serial = replay_side(input, params, w.k, 1);
+  const Side pooled = replay_side(input, params, w.k, w.pooled_threads);
+  if (!(serial.median_trace().write_json(spans + ".serial.json") &&
+        pooled.median_trace().write_json(spans + ".pooled.json"))) {
     die("cannot write spans under " + spans);
   }
 
-  const SubsampleSketch& sketch = *serial.sketch;
-  const std::vector<SetId>& solution = serial.result.solution;
+  const SubsampleSketch& sketch = *serial.first.sketch;
+  const std::vector<SetId>& solution = serial.first.result.solution;
   // Layer costs on the finished sketch, which file_kcover never pays: the
   // serve layers' publish copy and estimate scan, and the snapshot layer.
   // They are controls here (predicted unchanged by admission work).
@@ -199,30 +242,40 @@ int cmd_trace_kcover(Flags& flags) {
   });
   std::filesystem::remove(snap);
 
+  const std::vector<double>& shard_s = pooled.first.shard_admit_s;
   double admit_sum = 0.0;
   double admit_max = 0.0;
-  for (const double s : pooled.shard_admit_s) {
+  for (const double s : shard_s) {
     admit_sum += s;
     admit_max = std::max(admit_max, s);
   }
   const double skew =
-      admit_sum > 0 ? admit_max / (admit_sum / static_cast<double>(pooled.shard_admit_s.size()))
-                    : 1.0;
+      admit_sum > 0 ? admit_max / (admit_sum / static_cast<double>(shard_s.size())) : 1.0;
+  const auto walls = [](const std::vector<double>& values) {
+    std::string text = "[";
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      text += (i ? ", " : "") + std::to_string(values[i]);
+    }
+    return text + "]";
+  };
   std::printf(
       "%s\n",
       JsonOut()
-          .num("edges", static_cast<double>(serial.edges))
-          .str("serial_solution", family_text(serial.result.solution))
-          .str("pooled_solution", family_text(pooled.result.solution))
-          .num("serial_estimate", serial.result.estimated_coverage)
-          .num("pooled_estimate", pooled.result.estimated_coverage)
-          .num("serial_wall_s", serial.wall_s)
-          .num("pooled_wall_s", pooled.wall_s)
-          .raw("serial_self_s", self_json(serial_trace))
-          .raw("pooled_self_s", self_json(pooled_trace))
+          .num("edges", static_cast<double>(serial.first.edges))
+          .num("replays_agree", serial.agree && pooled.agree ? 1.0 : 0.0)
+          .str("serial_solution", family_text(solution))
+          .str("pooled_solution", family_text(pooled.first.result.solution))
+          .num("serial_estimate", serial.first.result.estimated_coverage)
+          .num("pooled_estimate", pooled.first.result.estimated_coverage)
+          .raw("serial_untraced_s", walls(serial.untraced_s))
+          .raw("serial_traced_s", walls(serial.traced_s))
+          .raw("pooled_untraced_s", walls(pooled.untraced_s))
+          .raw("pooled_traced_s", walls(pooled.traced_s))
+          .raw("serial_self_s", self_json(serial.median_trace()))
+          .raw("pooled_self_s", self_json(pooled.median_trace()))
           .num("shard_skew", skew)
-          .num("peak_space_words", static_cast<double>(serial.result.space_words))
-          .num("p_star", serial.result.p_star)
+          .num("peak_space_words", static_cast<double>(serial.first.result.space_words))
+          .num("p_star", serial.first.result.p_star)
           .num("stored_edges", static_cast<double>(sketch.stored_edges()))
           .num("publish_ms", publish_ms)
           .num("publish_bytes", static_cast<double>(sketch.space_words()) * 8.0)

@@ -1,13 +1,15 @@
-// wire_ingest: open-loop load against a running
+// wire_ingest: open- and closed-loop load against a running
 // `covstream_cli --cmd=serve --port=N`, with every answer checked against
 // in-process reference sketches fed the same acknowledged edges.
 //
-// One process, one thread per connection (at most four). Each connection
-// sends on a fixed schedule whatever the server does, so a stall shows as
-// latency of the requests due behind it: latency runs from a request's
-// scheduled send time to the arrival of its response. How late the
-// generator itself ran is reported as lag; a phase whose lag exceeds the
-// workload's limit measured the generator, not the server, and is void.
+// One process, one thread per connection (at most four). In an open-loop
+// phase each connection sends on a fixed schedule whatever the server
+// does, so a stall shows as latency of the requests due behind it: latency
+// runs from a request's scheduled send time to the arrival of its
+// response. How late the generator itself ran is reported as lag; a phase
+// whose lag exceeds the workload's limit measured the generator, not the
+// server, and is void. In a closed-loop phase a connection sends its next
+// request when the previous answer arrives.
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -18,6 +20,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -42,8 +45,11 @@ IngestWorkload ingest_workload(const std::string& scale) {
   w.tenants = 4;
   w.n = tiny ? 100 : 1000;
   w.k = tiny ? 5 : 20;
-  w.shape = {w.n, 1u << 20, 0.8, 0.9};
-  w.warmup_edges = tiny ? 30'000 : 400'000;
+  // make_zipf's model at a tenth of file_kcover's set sizes and universe:
+  // about 0.7M distinct pairs per tenant, 0.3M of them ingested in setup.
+  w.shape = tiny ? ZipfShape{w.n, 50'000, 150, 1500, 0.8, 1.1}
+                 : ZipfShape{w.n, 300'000, 600, 6000, 0.8, 1.1};
+  w.warmup_edges = tiny ? 12'000 : 300'000;
   w.warmup_line_edges = 2048;
   w.family_sets = w.k;
   w.reference_rate = tiny ? 200 : 400;
@@ -51,6 +57,7 @@ IngestWorkload ingest_workload(const std::string& scale) {
   w.ladder_cap = tiny ? 400 : 51200;
   w.p99_limit_ms = 50;
   w.lag_limit_ms = 25;
+  w.replay_reps = tiny ? 40 : 200;
   return w;
 }
 
@@ -60,8 +67,8 @@ std::string tenant_name(std::size_t tenant) {
   return name;
 }
 
-EdgeSource tenant_source(const IngestWorkload& w, std::uint64_t tenant_seed) {
-  return EdgeSource(w.shape, mix64(tenant_seed ^ 0xed9e5ULL));
+EdgeCycle tenant_source(const IngestWorkload& w, std::uint64_t tenant_seed) {
+  return EdgeCycle(w.shape, mix64(tenant_seed ^ 0xed9e5ULL));
 }
 
 std::uint64_t tenant_seed(std::uint64_t run_seed, std::size_t tenant) {
@@ -87,13 +94,16 @@ std::string create_line(const IngestWorkload& w, std::size_t tenant,
 }
 
 std::string ingest_line(const std::string& tenant, const std::vector<Edge>& edges) {
+  // to_chars, not snprintf: at the top ladder rungs the generator formats
+  // over a million edges a second on the cores the server runs on.
   std::string line = "ingest " + tenant;
   line.reserve(line.size() + edges.size() * 24);
-  char buffer[48];
+  char buffer[24];  // a u64 is at most 20 digits
   for (const Edge& edge : edges) {
-    const int len = std::snprintf(buffer, sizeof buffer, " %u %llu", edge.set,
-                                  static_cast<unsigned long long>(edge.elem));
-    line.append(buffer, static_cast<std::size_t>(len));
+    line += ' ';
+    line.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, edge.set).ptr);
+    line += ' ';
+    line.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, edge.elem).ptr);
   }
   return line;
 }
@@ -115,10 +125,13 @@ std::string format_value(double value) {
 
 namespace {
 
-enum Kind { kIngest = 0, kEstimate = 1, kStats = 2, kKinds = 3 };
-const char* const kKindNames[kKinds] = {"ingest", "estimate", "stats"};
+// kPing probes the network/reactor path alone (trace mode only): `ping`
+// crosses the socket, the reactor and a pool thread but no fleet layer.
+enum Kind { kIngest = 0, kEstimate = 1, kPing = 2, kStats = 3, kKinds = 4 };
+const char* const kKindNames[kKinds] = {"ingest", "estimate", "ping", "stats"};
 const char* const kClientSpan[kKinds] = {"client.ingest", "client.estimate",
-                                         "client.stats"};
+                                         "client.ping", "client.stats"};
+constexpr std::uint64_t kPingEvery = 16;
 
 
 // ------------------------------------------------------------- the socket --
@@ -311,7 +324,6 @@ class ExactCover {
 struct Pending {
   Kind kind;
   std::int64_t scheduled_ns;
-  std::size_t record;  // index into the connection's check records
 };
 
 struct PhaseSpec {
@@ -320,9 +332,10 @@ struct PhaseSpec {
   double seconds = 0.0;
   bool spans = false;  // record client spans (traced live phase)
   double stats_every_s = 0.0;  // sample `stats` on connection 0 (0 = never)
-  /// Closed loop on connection 0 alone: the next request goes out when the
-  /// previous answer arrives (the single-stream baseline; `rate` unused).
-  bool closed_loop = false;
+  /// Closed loop on the first `closed_conns` connections: each sends its
+  /// next request when the previous answer arrives (`rate` unused). 0 runs
+  /// the open loop at `rate` on every connection.
+  std::size_t closed_conns = 0;
 };
 
 struct PhaseResult {
@@ -376,7 +389,7 @@ class IngestSequence {
 
   std::uint64_t seed() const { return seed_; }
   const std::string& name() const { return name_; }
-  EdgeSource& source() { return source_; }
+  EdgeCycle& source() { return source_; }
 
   /// Next measured request: kIngest with *edges filled, or kEstimate with
   /// *family filled.
@@ -394,46 +407,58 @@ class IngestSequence {
   const IngestWorkload& w_;
   std::string name_;
   std::uint64_t seed_;
-  EdgeSource source_;
+  EdgeCycle source_;
   SeededRng family_rng_;
   std::uint64_t count_ = 0;
 };
 
-/// One connection's requests (one tenant's sequence) and their answers.
+/// One connection's requests (one tenant's sequence, plus a `ping` as every
+/// kPingEvery-th request when `pings`) and their answers.
 class IngestWork {
  public:
   IngestWork(const IngestWorkload& w, std::size_t tenant, std::uint64_t seed,
-             Failures& failures)
-      : w_(w), seq_(w, tenant, seed), failures_(failures) {
+             bool pings, Failures& failures)
+      : seq_(w, tenant, seed),
+        pings_(pings),
+        failures_(failures),
+        ingest_ack_("ok ingested " + std::to_string(w.line_edges)) {
     std::vector<Edge> skip;
     seq_.source().fill(skip, w.warmup_edges);  // setup consumed these
   }
-  /// Builds the next request's line; returns its kind and check record.
-  Kind next(std::string* line, std::size_t* record) {
+  /// Builds the next request's line; returns its kind.
+  Kind next(std::string* line) {
+    if (pings_ && ++sent_ % kPingEvery == kPingEvery / 2) {
+      *line = "ping";
+      return kPing;
+    }
     const Kind kind = seq_.step(&edges_, &family_);
-    *record = requests_++;
+    ++requests_;
     *line = kind == kIngest
                 ? ingest_line(seq_.name(), edges_)
                 : "estimate " + seq_.name() + " " + family_text(family_);
     return kind;
   }
   /// Takes the answer to a request this connection sent.
-  void answer(const Pending& p, std::string_view line) {
-    if (p.kind == kEstimate) {
+  void answer(Kind kind, std::string_view line) {
+    if (kind == kEstimate) {
       estimates_.emplace_back(line);
-    } else if (line != "ok ingested " + std::to_string(w_.line_edges)) {
-      failures_.add(seq_.name() + ": ingest answered '" + std::string(line) + "'");
+    } else if (line != (kind == kPing ? std::string_view("ok pong") : ingest_ack_)) {
+      failures_.add(seq_.name() + ": " + kKindNames[kind] + " answered '" +
+                    std::string(line) + "'");
     }
   }
+  /// Steps of the tenant's sequence sent (pings excluded).
   std::uint64_t requests() const { return requests_; }
   std::vector<std::string>& estimates() { return estimates_; }
 
  private:
-  const IngestWorkload& w_;
   IngestSequence seq_;
+  bool pings_;
   Failures& failures_;
+  std::string ingest_ack_;
   std::vector<Edge> edges_;
   std::vector<SetId> family_;
+  std::uint64_t sent_ = 0;
   std::uint64_t requests_ = 0;
   std::vector<std::string> estimates_;
 };
@@ -488,7 +513,8 @@ struct Loadgen {
   /// Runs one phase on connection `c` (called on that connection's thread).
   void run_phase(std::size_t c, const PhaseSpec& spec, std::int64_t start_ns,
                  PhaseResult& out) {
-    if (spec.closed_loop && c != 0) return;
+    const bool closed_loop = spec.closed_conns > 0;
+    if (closed_loop && c >= spec.closed_conns) return;
     Conn& conn = *conns[c];
     IngestWork& work = *works[c];
     const double rate = spec.rate / static_cast<double>(conns.size());
@@ -509,25 +535,23 @@ struct Loadgen {
     const std::int64_t drain_deadline = end_ns + 15'000'000'000LL;
     while (!broken.load(std::memory_order_relaxed)) {
       std::int64_t now = now_ns();
-      if (spec.closed_loop && pending.empty()) next_due = std::min(now, end_ns);
-      while (!schedule_done && next_due <= now &&
-             !(spec.closed_loop && !pending.empty())) {
+      if (closed_loop && pending.empty()) next_due = std::min(now, end_ns);
+      while (!schedule_done && next_due <= now && !(closed_loop && !pending.empty())) {
         if (next_due >= end_ns) {
           schedule_done = true;
           out.backlog_end = pending.size();
           break;
         }
-        std::size_t record = 0;
-        const Kind kind = work.next(&line, &record);
+        const Kind kind = work.next(&line);
         conn.queue(line);
-        pending.push_back({kind, next_due, record});
+        pending.push_back({kind, next_due});
         out.lag_ms.push_back(static_cast<double>(now - next_due) * 1e-6);
         ++out.sent;
         next_due += interval;
       }
       if (stats_interval > 0 && !schedule_done && next_stats <= now) {
         conn.queue("stats");
-        pending.push_back({kStats, now, 0});
+        pending.push_back({kStats, now});
         next_stats += stats_interval;
       }
       if (schedule_done && pending.empty()) break;
@@ -565,7 +589,7 @@ struct Loadgen {
         if (spec.spans) {
           out.spans.push_back({0, 0, 0, kClientSpan[p.kind], p.scheduled_ns, at});
         }
-        work.answer(p, response);
+        work.answer(p.kind, response);
       });
       if (!alive) {
         failures.add("connection " + std::to_string(c) + " lost");
@@ -641,6 +665,7 @@ std::string phase_json(const PhaseSpec& spec, const PhaseResult& r, bool pass) {
             JsonOut()
                 .num("n", static_cast<double>(r.latency_ms[k].size()))
                 .num("p50_ms", quantile(r.latency_ms[k], 0.5))
+                .num("p75_ms", quantile(r.latency_ms[k], 0.75))
                 .num("p90_ms", quantile(r.latency_ms[k], 0.90))
                 .num("p95_ms", quantile(r.latency_ms[k], 0.95))
                 .num("p99_ms", quantile(r.latency_ms[k], 0.99))
@@ -668,7 +693,7 @@ void setup_fleet(const IngestWorkload& w, std::uint64_t seed,
       for (std::size_t t = c; t < w.tenants; t += conns.size()) {
         const std::uint64_t tseed = tenant_seed(seed, t);
         std::vector<std::string> lines{create_line(w, t, tseed)};
-        EdgeSource source = tenant_source(w, tseed);
+        EdgeCycle source = tenant_source(w, tseed);
         std::vector<Edge> edges;
         for (std::size_t done = 0; done < w.warmup_edges; done += w.warmup_line_edges) {
           source.fill(edges, std::min(w.warmup_line_edges, w.warmup_edges - done));
@@ -690,98 +715,105 @@ void setup_fleet(const IngestWorkload& w, std::uint64_t seed,
 }  // namespace
 
 int cmd_wire(Flags& flags) {
-  const std::string scale = flags.str("scale", "full");
-  const std::string mode = flags.str("mode", "run");
-  const std::uint64_t seed = flags.u64("seed", 1);
-  const std::uint16_t port = static_cast<std::uint16_t>(flags.u64("port", 0));
-  const double seconds = flags.f64("seconds", 10);
-  const bool corrupt = flags.u64("corrupt", 0) != 0;
-  const std::string spans_path = flags.str("spans", "");
+  const IngestWorkload w = ingest_workload(flags.str("scale"));
+  const std::string mode = flags.str("mode");
+  const std::uint64_t seed = flags.u64("seed");
+  const std::uint16_t port = static_cast<std::uint16_t>(flags.u64("port"));
+  if (mode != "setup" && mode != "run" && mode != "trace") die("unknown --mode " + mode);
+  // --mode=setup only creates and warms the tenants.
+  const bool measure = mode != "setup";
+  const double seconds = measure ? flags.f64("seconds") : 0.0;
+  const bool corrupt = measure && flags.u64("corrupt") != 0;
+  const std::string spans_path = measure ? flags.str("spans") : "";
   flags.finish();
-  const IngestWorkload w = ingest_workload(scale);
-  if (port == 0) die("wire needs --port");
 
   Loadgen gen(w);
   for (int c = 0; c < 4; ++c) gen.conns.push_back(std::make_unique<Conn>(port));
   const std::int64_t setup_start = now_ns();
   setup_fleet(w, seed, gen.conns);
   const double setup_s = static_cast<double>(now_ns() - setup_start) * 1e-9;
-  if (mode == "setup") {
+  if (!measure) {
     std::printf("%s\n", JsonOut().num("setup_s", setup_s).done().c_str());
     return 0;
   }
 
   for (std::size_t t = 0; t < w.tenants; ++t) {
-    gen.works.push_back(std::make_unique<IngestWork>(w, t, seed, gen.failures));
+    gen.works.push_back(
+        std::make_unique<IngestWork>(w, t, seed, mode == "trace", gen.failures));
   }
+
+  // Run mode: kRounds rounds, each an open-loop slice at the reference rate
+  // (the latency metrics), a closed-loop slice on one connection (the
+  // single-stream baseline) and one on all four (concurrent throughput).
+  // run.py takes the median over the rounds' slices, so a slow spell of the
+  // shared host that spans a few slices does not set a figure. The
+  // offered-rate ladder runs last, so its overload rungs cannot disturb the
+  // slices: it doubles from its first rate until a rung misses the limit,
+  // then makes kBisections geometric bisections between the highest passing
+  // and lowest failing rate.
+  constexpr int kRounds = 8;
+  constexpr int kBisections = 3;
+  const double round_s = 0.70 * seconds / kRounds;
+  const PhaseSpec reference{"reference", w.reference_rate, 0.55 * round_s, false, 0.0, 0};
+  const PhaseSpec serial{"serial", 0.0, 0.15 * round_s, false, 0.0, 1};
+  const PhaseSpec concurrent{"concurrent", 0.0, 0.30 * round_s, false, 0.0, gen.conns.size()};
+  const double rung_s = 0.30 * seconds / 8;
+  // Trace mode: the reference phase, alternately plain and with client spans
+  // kept (both sampling `stats` and mixing in pings, so they differ only by
+  // the span recording); the alternation spreads slow spells of the host
+  // over both sides. Each side's rounds fold into one result.
+  const PhaseSpec untraced{"untraced", w.reference_rate, 0.25 * seconds, false, 0.25, 0};
+  const PhaseSpec traced{"traced", w.reference_rate, 0.25 * seconds, true, 0.25, 0};
 
   std::vector<PhaseSpec> phases;
-  // The offered-rate ladder: doubling rungs from the workload's first rate
-  // until one misses the limit, then kBisections geometric bisections
-  // between the highest passing and lowest failing rate.
-  constexpr int kBisections = 3;
-  const double doubling_rungs = 1.0 + std::round(std::log2(w.ladder_cap / w.ladder_start));
-  const double rung_seconds = 0.55 * seconds / (doubling_rungs + kBisections);
-  // 35% of the time at the reference rate (the latency metrics), 10% on one
-  // closed-loop connection (the single-stream baseline), the rest on the
-  // ladder (max_rate_rps). The first two run half before the ladder and half
-  // after it, so a slow spell of the shared host cannot own either figure.
-  const PhaseSpec reference{"reference", w.reference_rate, 0.175 * seconds, false, 0.0, false};
-  const PhaseSpec serial{"serial", 0.0, 0.05 * seconds, false, 0.0, true};
-  if (mode == "run") {
-    phases.push_back(serial);
-    phases.push_back(reference);
-    phases.push_back({"ladder", w.ladder_start, rung_seconds, false, 0.0, false});
-  } else if (mode == "trace") {
-    // The reference phase, alternately plain and with client spans kept (both
-    // sampling `stats`, so they differ only by the span recording); the
-    // alternation spreads slow spells of the host over both sides.
-    for (int round = 0; round < 2; ++round) {
-      phases.push_back({"untraced", w.reference_rate, 0.25 * seconds, false, 0.25, false});
-      phases.push_back({"traced", w.reference_rate, 0.25 * seconds, true, 0.25, false});
-    }
-  } else {
-    die("unknown --mode " + mode);
-  }
-
   std::vector<PhaseResult> results;
   std::vector<bool> passed;
-  double pass_rate = 0.0;  // highest ladder rate that met the limit so far
-  double fail_rate = 0.0;  // lowest ladder rate that missed it
-  int bisections = 0;
-  for (std::size_t p = 0; p < phases.size(); ++p) {
-    if (gen.broken) break;
+  const auto run = [&](const PhaseSpec& spec) -> bool {
+    if (gen.broken) return false;
     const std::uint64_t failed_before = gen.failures.count;
-    results.push_back(gen.run(phases[p]));
-    passed.push_back(phase_passes(w, phases[p], results.back()) &&
+    phases.push_back(spec);
+    results.push_back(gen.run(spec));
+    passed.push_back(phase_passes(w, spec, results.back()) &&
                      gen.failures.count == failed_before);
-    if (phases[p].name == "ladder") {
-      const double rate = phases[p].rate;
-      (passed.back() ? pass_rate : fail_rate) = rate;
+    return passed.back();
+  };
+  if (mode == "trace") {
+    for (int round = 0; round < 2; ++round) {
+      run(untraced);
+      run(traced);
+    }
+  } else {
+    double rate = w.ladder_start;
+    double pass_rate = 0.0;  // highest ladder rate that met the limit so far
+    double fail_rate = 0.0;  // lowest ladder rate that missed it
+    int bisections = 0;
+    for (int round = 0; round < kRounds; ++round) {
+      run(reference);
+      run(serial);
+      run(concurrent);
+    }
+    for (bool ladder_done = false; !ladder_done && !gen.broken;) {
+      (run({"ladder", rate, rung_s, false, 0.0, 0}) ? pass_rate : fail_rate) = rate;
       const bool doubling = fail_rate == 0.0 && rate < w.ladder_cap;
-      if (doubling || (fail_rate > 0.0 && bisections < kBisections)) {
-        const double next = doubling ? rate * 2.0
-                            : pass_rate > 0.0 ? std::sqrt(pass_rate * fail_rate)
-                                              : fail_rate / 2.0;
-        bisections += doubling ? 0 : 1;
-        phases.push_back({"ladder", next, rung_seconds, false, 0.0, false});
+      if (doubling) {
+        rate *= 2.0;
+      } else if (fail_rate > 0.0 && bisections < kBisections) {
+        rate = pass_rate > 0.0 ? std::sqrt(pass_rate * fail_rate) : fail_rate / 2.0;
+        ++bisections;
       } else {
-        phases.push_back(reference);
-        phases.push_back(serial);
+        ladder_done = true;
       }
     }
   }
-  phases.resize(results.size());
   {
-    // Fold the split phases (and trace mode's alternating rounds) into one
-    // result per name; ladder rungs stay separate.
+    // Fold trace mode's alternating rounds into one result per side.
     std::vector<PhaseSpec> folded_specs;
     std::vector<PhaseResult> folded;
     std::vector<bool> folded_passed;
     for (std::size_t p = 0; p < phases.size(); ++p) {
       std::size_t slot = 0;
       while (slot < folded_specs.size() &&
-             (phases[p].name == "ladder" || folded_specs[slot].name != phases[p].name)) {
+             (mode != "trace" || folded_specs[slot].name != phases[p].name)) {
         ++slot;
       }
       if (slot == folded_specs.size()) {
