@@ -8,7 +8,6 @@
 // trajectory is tracked across PRs.
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -411,9 +410,8 @@ void BM_KmvAdd(benchmark::State& state) {
 BENCHMARK(BM_KmvAdd);
 
 // ----------------------------------------------------------- file ingest ----
-// The batched pipeline's reason to exist: ns/edge off disk. The *Legacy
-// variants reproduce the pre-engine loops verbatim (fgets+sscanf per line /
-// two freads per record) as the in-tree baseline to beat.
+// The batched pipeline's reason to exist: ns/edge off disk, per edge and
+// per batch, through the same streams covstream_cli reads.
 
 struct IngestFixture {
   std::string text_path;
@@ -451,26 +449,6 @@ void set_ingest_counters(benchmark::State& state, std::size_t edges,
       static_cast<std::int64_t>(state.iterations() * file_bytes));
 }
 
-void BM_TextFileIngestLegacy(benchmark::State& state) {
-  const IngestFixture& fx = ingest_fixture();
-  for (auto _ : state) {
-    std::FILE* file = std::fopen(fx.text_path.c_str(), "r");
-    char line[256];
-    std::size_t edges = 0;
-    while (std::fgets(line, sizeof line, file) != nullptr) {
-      const char* cursor = line;
-      while (*cursor == ' ' || *cursor == '\t') ++cursor;
-      if (*cursor == '#' || *cursor == '\n' || *cursor == '\0') continue;
-      unsigned long long set = 0, elem = 0;
-      if (std::sscanf(cursor, "%llu %llu", &set, &elem) == 2) ++edges;
-    }
-    std::fclose(file);
-    benchmark::DoNotOptimize(edges);
-  }
-  set_ingest_counters(state, fx.edges.size(), fx.text_bytes);
-}
-BENCHMARK(BM_TextFileIngestLegacy);
-
 void BM_TextFileIngestPerEdge(benchmark::State& state) {
   const IngestFixture& fx = ingest_fixture();
   TextFileStream stream(fx.text_path);
@@ -498,26 +476,6 @@ void BM_TextFileIngestBatched(benchmark::State& state) {
   set_ingest_counters(state, fx.edges.size(), fx.text_bytes);
 }
 BENCHMARK(BM_TextFileIngestBatched)->Arg(1 << 12)->Arg(1 << 15);
-
-void BM_BinaryFileIngestLegacy(benchmark::State& state) {
-  const IngestFixture& fx = ingest_fixture();
-  for (auto _ : state) {
-    std::FILE* file = std::fopen(fx.bin_path.c_str(), "rb");
-    std::fseek(file, 16, SEEK_SET);
-    std::size_t edges = 0;
-    for (;;) {
-      std::uint32_t set = 0;
-      std::uint64_t elem = 0;
-      if (std::fread(&set, sizeof set, 1, file) != 1) break;
-      if (std::fread(&elem, sizeof elem, 1, file) != 1) break;
-      ++edges;
-    }
-    std::fclose(file);
-    benchmark::DoNotOptimize(edges);
-  }
-  set_ingest_counters(state, fx.edges.size(), fx.bin_bytes);
-}
-BENCHMARK(BM_BinaryFileIngestLegacy);
 
 void BM_BinaryFileIngestBatched(benchmark::State& state) {
   const IngestFixture& fx = ingest_fixture();

@@ -13,12 +13,6 @@ std::string to_string(ShardRouting routing) {
   return "?";
 }
 
-std::optional<ShardRouting> parse_shard_routing(std::string_view text) {
-  if (text == "rr") return ShardRouting::kRoundRobin;
-  if (text == "hash") return ShardRouting::kByElementHash;
-  return std::nullopt;
-}
-
 std::uint64_t shard_router_seed(const SketchParams& params) {
   return params.hash_seed ^ 0x5eedfeedULL;
 }

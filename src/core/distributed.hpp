@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/subsample_sketch.hpp"
@@ -50,9 +49,6 @@ enum class ShardRouting : std::uint32_t {
 };
 
 std::string to_string(ShardRouting routing);
-
-/// Parses the CLI spelling ("rr" / "hash"); nullopt on anything else.
-std::optional<ShardRouting> parse_shard_routing(std::string_view text);
 
 /// The partition seed rides on the sketch hash seed so a routing choice is
 /// reproducible per run but independent of the element-admission hash. Every

@@ -61,10 +61,12 @@ KCoverResult streaming_kcover(EdgeStream& stream, SetId num_sets, std::uint32_t 
   SketchParams params = options.sketch_params(num_sets, k, options.eps / 12.0);
   if (pool != nullptr && pool->thread_count() > 1) {
     // Pool path: one shard per thread fed by the engine's partitioned deal,
-    // reduced by merging. Merge == single-stream sketch (DESIGN.md §5.5), so
-    // everything downstream of the sketch is unchanged.
+    // reduced by merging. Element-hash routing keeps every edge of an
+    // element on one shard, so the merge equals the single-stream sketch
+    // even when the degree cap binds (DESIGN.md §5.5, §5.14) and everything
+    // downstream of the sketch is unchanged.
     ShardedSketchBuilder builder(params, pool->thread_count(), pool);
-    builder.consume(stream, ShardRouting::kRoundRobin, options.batch_edges);
+    builder.consume(stream, ShardRouting::kByElementHash, options.batch_edges);
     const std::size_t shard_peak = builder.max_shard_space_words();
     const SubsampleSketch sketch = builder.finalize();
     KCoverResult result = kcover_on_sketch(sketch, k, pool);

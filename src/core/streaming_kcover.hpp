@@ -54,11 +54,12 @@ struct KCoverResult {
 
 /// Runs Algorithm 3 over one pass of `stream`. `num_sets` is n (known up
 /// front, as in the paper); `k` is the cover size. With a pool, the sketch is
-/// built as one engine-dealt shard per pool thread and reduced by merging —
+/// built as one element-hash shard per pool thread and reduced by merging —
 /// content-identical to the single-threaded sketch (same retained elements,
-/// edges, and p*; DESIGN.md §5.5), so the solution and estimates are
-/// identical. Space accounting differs by construction: `space_words`
-/// reports the distributed peak (shards coexist during the pass).
+/// edges, and p*, even when the degree cap binds; DESIGN.md §5.5), so the
+/// solution and estimates are identical. Space accounting differs by
+/// construction: `space_words` reports the distributed peak (shards coexist
+/// during the pass).
 KCoverResult streaming_kcover(EdgeStream& stream, SetId num_sets, std::uint32_t k,
                               const StreamingOptions& options,
                               ThreadPool* pool = nullptr);
@@ -72,8 +73,9 @@ KCoverResult kcover_on_sketch(const SubsampleSketch& sketch, std::uint32_t k,
                               ThreadPool* pool = nullptr);
 
 /// The solve + result assembly of kcover_on_sketch for callers that keep a
-/// warm Solver over one view across queries (SketchServer caches one per
-/// published handle). `view` must be `solver`'s view and `sketch` its owner.
+/// warm Solver over one view across queries (the fleet's solver cache keeps
+/// one per published handle). `view` must be `solver`'s view and `sketch`
+/// its owner.
 KCoverResult kcover_with_solver(const SubsampleSketch& sketch,
                                 const SketchView& view, Solver& solver,
                                 std::uint32_t k);

@@ -78,9 +78,11 @@ std::optional<std::vector<SetId>> parse_id_list(std::string_view text) {
 
 std::string err(const std::string& message) { return "err " + message; }
 
-std::string format_double(double value) {
+/// Estimates print with one decimal; p* spans many decades on a long
+/// stream, so stats print it with "%.6g" significant digits instead.
+std::string format_double(double value, const char* format = "%.1f") {
   char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.1f", value);
+  std::snprintf(buffer, sizeof buffer, format, value);
   return buffer;
 }
 
@@ -284,7 +286,10 @@ std::string handle_fleet_request(SketchFleet& fleet, std::string_view line,
              " resident=" + (stats->resident ? std::string("1") : std::string("0")) +
              " words=" + std::to_string(stats->space_words) +
              " edges=" + std::to_string(stats->edges_ingested) +
-             " sets=" + std::to_string(stats->num_sets);
+             " sets=" + std::to_string(stats->num_sets) +
+             " retained=" + std::to_string(stats->retained_elements) +
+             " stored_edges=" + std::to_string(stats->stored_edges) +
+             " p_star=" + format_double(stats->p_star, "%.6g");
     }
     if (tokens.size() != 1) return err("usage: stats [<tenant>]");
     const SketchFleet::FleetStats stats = fleet.stats();

@@ -887,6 +887,11 @@ std::optional<SketchFleet::TenantStats> SketchFleet::tenant_stats(
   stats.space_words = tenant->accounted_words;
   stats.edges_ingested = tenant->edges_ingested;
   stats.num_sets = tenant->params.num_sets;
+  if (tenant->live.has_value()) {
+    stats.retained_elements = tenant->live->retained_elements();
+    stats.stored_edges = tenant->live->stored_edges();
+    stats.p_star = tenant->live->p_star();
+  }
   return stats;
 }
 

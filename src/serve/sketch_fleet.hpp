@@ -5,9 +5,9 @@
 // them viable: thousands of live tenants fit one machine as long as somebody
 // arbitrates the total. SketchFleet is that somebody:
 //
-//   * every tenant is a named sketch with the SketchServer publication
-//     discipline — a live sketch mutated only under the tenant's work mutex,
-//     and an immutable shared_ptr<const SubsampleSketch> handle republished
+//   * every tenant is a named sketch published copy-on-write — a live
+//     sketch mutated only under the tenant's work mutex, and an immutable
+//     shared_ptr<const SubsampleSketch> handle republished
 //     after every ingest batch. Reads (estimate) grab the handle under a
 //     pointer-swap-only mutex and compute outside all locks, so estimates
 //     never block admits and never observe a mutating sketch;
@@ -163,6 +163,11 @@ class SketchFleet {
     std::size_t space_words = 0;  // 0 while evicted
     std::uint64_t edges_ingested = 0;
     SetId num_sets = 0;
+    // The sketch's shape, for reading how exact its answers are; 0 while
+    // evicted, like space_words.
+    std::size_t retained_elements = 0;
+    std::size_t stored_edges = 0;
+    double p_star = 0.0;
   };
   std::optional<TenantStats> tenant_stats(const std::string& name) const;
 

@@ -87,7 +87,7 @@ bool SnapshotWriter::write_file(const std::string& path,
                                 std::string* error) const {
   const std::vector<std::uint8_t> image = finish();
   // Unique temp name per write: concurrent writers to one destination (the
-  // serve REPL's `save` racing a periodic checkpoint) must not truncate
+  // serve transport's `save` racing a periodic checkpoint) must not truncate
   // each other's half-written temp and publish a torn image — whichever
   // rename lands last must still be a complete snapshot.
   static std::atomic<unsigned> temp_counter{0};

@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,7 +143,9 @@ TEST(FleetProtocol, GrammarAndErrors) {
 }
 
 TEST(FleetProtocol, ResponsesMatchDirectFleetCalls) {
-  SketchFleet fleet({});
+  SketchFleet::Options fleet_options;
+  fleet_options.spill_dir = testing::TempDir() + "covstream_protocol_stats";
+  SketchFleet fleet(fleet_options);
   bool shutdown = false;
   ASSERT_EQ(handle_fleet_request(fleet, "create t 64 4 0.3 7", &shutdown),
             "ok created t");
@@ -201,8 +204,24 @@ TEST(FleetProtocol, ResponsesMatchDirectFleetCalls) {
       << tenant_stats;
   EXPECT_NE(tenant_stats.find("edges=400 sets=64"), std::string::npos)
       << tenant_stats;
+  // The sketch's shape closes the line: the twin's numbers, rendered.
+  const std::shared_ptr<const SubsampleSketch> twin = fleet.handle("twin", &error);
+  ASSERT_NE(twin, nullptr) << error;
+  std::snprintf(rendered, sizeof rendered, "%.6g", twin->p_star());
+  const std::string shape =
+      " sets=64 retained=" + std::to_string(twin->retained_elements()) +
+      " stored_edges=" + std::to_string(twin->stored_edges()) +
+      " p_star=" + rendered;
+  EXPECT_TRUE(tenant_stats.ends_with(shape)) << tenant_stats;
+  EXPECT_GT(twin->retained_elements(), 0u);
+  // Evicted, the shape reads 0, as words= does.
+  ASSERT_EQ(handle_fleet_request(fleet, "evict t", &shutdown), "ok evicted t");
+  EXPECT_TRUE(handle_fleet_request(fleet, "stats t", &shutdown)
+                  .ends_with(" resident=0 words=0 edges=400 sets=64 retained=0 "
+                             "stored_edges=0 p_star=0"));
   EXPECT_EQ(handle_fleet_request(fleet, "tenants", &shutdown),
             "ok tenants t,twin");
+  ASSERT_EQ(handle_fleet_request(fleet, "drop t", &shutdown), "ok dropped t");
 }
 
 TEST(NetServer, EndToEndOverTcp) {

@@ -18,7 +18,7 @@
 #include "core/sketch_ladder.hpp"
 #include "core/subsample_sketch.hpp"
 #include "core/weighted_sketch.hpp"
-#include "serve/sketch_server.hpp"
+#include "serve/file_pass.hpp"
 #include "sketch/l0_kcover.hpp"
 #include "sketch/substrate/snapshot.hpp"
 #include "stream/arrival_order.hpp"

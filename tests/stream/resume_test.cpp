@@ -16,7 +16,8 @@
 #include <vector>
 
 #include "core/subsample_sketch.hpp"
-#include "serve/sketch_server.hpp"
+#include "serve/file_pass.hpp"
+#include "serve/sketch_fleet.hpp"
 #include "sketch/substrate/snapshot.hpp"
 #include "stream/file_stream.hpp"
 #include "stream/stream_engine.hpp"
@@ -196,16 +197,11 @@ TEST(Resume, VectorSeekBounds) {
 }
 
 TEST(Resume, ServerResumesFromCheckpointFile) {
-  // End-to-end through SketchServer: serve, checkpoint to a file, "crash",
-  // resume a new server from the file, and compare against uninterrupted.
+  // End to end through a fleet tenant: a file pass checkpoints to a file,
+  // the process "crashes", a new fleet adopts the checkpoint's sketch and
+  // resumes the pass, and the result equals the uninterrupted pass.
   const std::vector<Edge> edges = make_edges(6000);
   const std::string ck_path = testing::TempDir() + "covstream_server_ck.snap";
-
-  SketchServer::Options options;
-  options.batch_edges = 512;
-  options.snapshot_every_chunks = 2;
-  options.checkpoint_every_chunks = 3;
-  options.checkpoint_path = ck_path;
 
   const SketchParams params = resume_params(77);
   SubsampleSketch uninterrupted(params);
@@ -217,25 +213,35 @@ TEST(Resume, ServerResumesFromCheckpointFile) {
     });
   }
 
-  {
-    SketchServer first(params, options);
-    VectorStream stream(edges);
-    first.start(stream);
-    first.wait();
-  }
   std::string error;
+  {
+    SketchFleet first({});
+    ASSERT_TRUE(first.create("t", params, &error)) << error;
+    FilePass pass;
+    pass.batch_edges = 512;
+    pass.checkpoint_every = 3;
+    pass.checkpoint_path = ck_path;
+    VectorStream stream(edges);
+    ASSERT_TRUE(run_file_pass(first, "t", stream, pass, &error)) << error;
+  }
   std::optional<IngestCheckpoint> checkpoint =
       load_snapshot<IngestCheckpoint>(ck_path, &error);
   ASSERT_TRUE(checkpoint) << error;
   ASSERT_LT(checkpoint->resume.edges_kept, edges.size());
 
-  SketchServer resumed(std::move(*checkpoint), options);
-  ASSERT_NE(resumed.snapshot(), nullptr);  // queryable before restart
+  SketchFleet resumed({});
+  const StreamEngine::ResumePoint resume = checkpoint->resume;
+  ASSERT_TRUE(resumed.adopt("t", std::move(checkpoint->sketch),
+                            resume.edges_kept, &error))
+      << error;
+  ASSERT_NE(resumed.handle("t", &error), nullptr);  // queryable before restart
+  FilePass pass;
+  pass.batch_edges = 512;
+  pass.resume = &resume;
   VectorStream stream(edges);
-  resumed.start(stream);
-  const StreamEngine::PassStats stats = resumed.wait();
-  EXPECT_EQ(stats.edges_kept, edges.size());
-  EXPECT_EQ(to_bytes(*resumed.snapshot()), to_bytes(uninterrupted));
+  ASSERT_TRUE(run_file_pass(resumed, "t", stream, pass, &error)) << error;
+  EXPECT_EQ(pass.edges.load(), edges.size());
+  EXPECT_EQ(to_bytes(*resumed.handle("t", &error)), to_bytes(uninterrupted));
   std::remove(ck_path.c_str());
 }
 

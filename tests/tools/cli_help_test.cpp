@@ -39,23 +39,25 @@ TEST(CliHelp, EveryFlagTheCommandsReadIsDocumented) {
         "--alpha_elems", "--k", "--kstar", "--block", "--decoy", "--groups",
         "--cross", "--input", "--eps", "--lambda", "--rounds", "--merge_mark",
         "--threads", "--batch", "--checkpoint", "--checkpoint-every",
-        "--resume", "--snapshot", "--sets", "--snapshot-every", "--strategy",
-        "--isa", "--port", "--tenants-budget", "--spill-dir", "--persist",
-        "--idle-timeout-ms", "--deadline-ms", "--max-connections",
-        "--batch-window-us", "--shard", "--shards", "--routing", "--snapshots",
-        "--shard-dir", "--expect", "--wait-ms", "--fan-in"}) {
+        "--resume", "--snapshot", "--sets", "--strategy", "--isa", "--port",
+        "--tenants-budget", "--spill-dir", "--persist", "--idle-timeout-ms",
+        "--deadline-ms", "--max-connections", "--batch-window-us", "--shard",
+        "--shards", "--snapshots", "--shard-dir", "--expect", "--wait-ms",
+        "--fan-in"}) {
     EXPECT_NE(kHelp.find(flag), std::string::npos)
         << "flag missing from help: " << flag;
   }
 }
 
 TEST(CliHelp, ServeReplCommandsAreDocumented) {
-  for (const char* repl : {"estimate", "solve", "stats", "save", "wait", "quit"}) {
-    EXPECT_NE(kHelp.find(repl), std::string::npos)
-        << "serve REPL command missing from help: " << repl;
+  // The stdin transport: wire requests against its fixed tenant, plus its
+  // own wait/quit.
+  for (const char* line : {"estimate input", "solve input", "stats input",
+                           "save input", "wait [<ms>]", "quit"}) {
+    EXPECT_NE(kHelp.find(line), std::string::npos)
+        << "stdin transport command missing from help: " << line;
   }
-  // The bounded-timeout wait variant and the fleet protocol commands.
-  EXPECT_NE(kHelp.find("wait [<ms>]"), std::string::npos);
+  // The fleet protocol commands.
   for (const char* fleet : {"create", "evict", "drop", "flush"}) {
     EXPECT_NE(kHelp.find(fleet), std::string::npos)
         << "fleet protocol command missing from help: " << fleet;
@@ -64,14 +66,15 @@ TEST(CliHelp, ServeReplCommandsAreDocumented) {
 
 TEST(CliHelp, GoldenTextUnchanged) {
   // FNV-1a over the exact help text. If this fails you edited the help —
-  // re-verify the flag tables against tools/covstream_cli.cpp (and the REPL
-  // list against cmd_serve), then update the constant below.
+  // re-verify the flag tables against tools/covstream_cli.cpp (and the stdin
+  // transport's commands against cmd_serve_stdin), then update the constant
+  // below.
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const unsigned char c : kHelp) {
     hash ^= c;
     hash *= 0x100000001b3ULL;
   }
-  EXPECT_EQ(hash, 0xd1391fa280fd7630ULL)
+  EXPECT_EQ(hash, 0x5b3e3fcb0acb5d1fULL)
       << "help text changed; review tools/covstream_help.hpp against the "
          "flags the commands read, then update this golden hash";
 }

@@ -10,7 +10,8 @@
 //   covstream_cli --cmd=ingest   --input=g.bin --n=500 --k=20 --out=g.snap
 //   covstream_cli --cmd=query    --snapshot=g.snap --sets=1,2,5
 //   covstream_cli --cmd=solve    --snapshot=g.snap --k=20
-//   covstream_cli --cmd=serve    --input=g.bin --n=500 --k=20   # stdin REPL
+//   covstream_cli --cmd=serve    --input=g.bin --n=500 --k=20   # stdin
+//   covstream_cli --cmd=serve    --port=0                       # TCP
 //   covstream_cli --cmd=worker   --input=g.bin --n=500 --shard=0 --shards=4
 //   covstream_cli --cmd=coordinator --shard-dir=shards --expect=4 --k=20
 //
@@ -26,9 +27,12 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <future>
+#include <iostream>
 #include <memory>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,7 +45,7 @@
 #include "hash/simd/cpu_features.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/net_server.hpp"
-#include "serve/sketch_server.hpp"
+#include "serve/file_pass.hpp"
 #include "sketch/substrate/snapshot.hpp"
 #include "solve/solver.hpp"
 #include "stream/arrival_order.hpp"
@@ -343,10 +347,10 @@ std::optional<IngestSetup> read_ingest_setup(CliArgs& args) {
                    setup.checkpoint_path.c_str(), error.c_str());
       return std::nullopt;
     }
-    std::printf("resuming from %s: %llu edges already ingested\n",
-                setup.checkpoint_path.c_str(),
-                static_cast<unsigned long long>(
-                    setup.checkpoint->resume.edges_kept));
+    std::fprintf(stderr, "resuming from %s: %llu edges already ingested\n",
+                 setup.checkpoint_path.c_str(),
+                 static_cast<unsigned long long>(
+                     setup.checkpoint->resume.edges_kept));
   } else {
     if (n == 0) {
       std::fprintf(stderr, "--n is required (unless resuming)\n");
@@ -516,10 +520,10 @@ int cmd_solve(CliArgs& args) {
 }
 
 /// --port=N: the multi-tenant TCP fleet front-end (docs/PROTOCOL.md). Runs
-/// until some client sends `shutdown`. --port=0 (the default) falls through
-/// to the single-sketch stdin REPL below. `seed` (when set) populates the
-/// fresh fleet before serving — the coordinator adopts its merged sketch
-/// this way; a seed failure aborts startup.
+/// until some client sends `shutdown`. --port=0 binds an ephemeral port; the
+/// banner names the bound one. `seed` (when set) populates the fresh fleet
+/// before serving — the coordinator adopts its merged sketch this way; a
+/// seed failure aborts startup.
 int cmd_serve_fleet(CliArgs& args, std::size_t port,
                     const std::function<bool(SketchFleet&, std::string*)>&
                         seed = {}) {
@@ -658,156 +662,115 @@ int cmd_serve_fleet(CliArgs& args, std::size_t port,
   return flush_ok ? 0 : 1;
 }
 
-int cmd_serve(CliArgs& args) {
-  const std::size_t port = args.get_size("port", 0);
-  if (port != 0) return cmd_serve_fleet(args, port);
+/// The stdin transport's one tenant: the sketch of --input.
+constexpr char kServeTenant[] = "input";
+
+/// Without --port: the stdin transport over a one-tenant fleet. A file pass
+/// feeds --input into tenant kServeTenant on a background thread while each
+/// stdin line runs through execute_fleet_batch, exactly as a TCP line does,
+/// and its reply goes to stdout. Only `wait [<ms>]` is the transport's own.
+/// `quit`, `shutdown` or EOF end the pass at its next chunk boundary; with
+/// --checkpoint a final checkpoint lets --resume finish it later.
+int cmd_serve_stdin(CliArgs& args) {
   const std::string input = args.get_string("input", "");
-  const std::size_t batch_edges = args.get_size("batch", 0);
-  const std::size_t snapshot_every = args.get_size("snapshot-every", 1);
+  FilePass pass;
+  pass.batch_edges = args.get_size("batch", 0);
   std::optional<IngestSetup> setup = read_ingest_setup(args);
   args.finish();
-  COVSTREAM_CHECK(!input.empty());
+  if (input.empty()) {
+    std::fprintf(stderr, "serve needs --input=<edge file> (or --port=N)\n");
+    return 2;
+  }
   if (!setup) return 2;
 
-  SketchServer::Options options;
-  options.batch_edges = batch_edges;
-  options.snapshot_every_chunks = snapshot_every == 0 ? 1 : snapshot_every;
-  options.checkpoint_every_chunks = setup->checkpoint_every;
-  options.checkpoint_path = setup->checkpoint_path;
   auto stream = open_stream(input);
   if (setup->checkpoint && !resume_token_fits(*stream, *setup->checkpoint, input)) {
     return 2;
   }
-  std::optional<SketchServer> server;
-  if (setup->checkpoint) {
-    server.emplace(std::move(*setup->checkpoint), options);
-  } else {
-    server.emplace(*setup->fresh_params, options);
+  pass.checkpoint_path = setup->checkpoint_path;
+  pass.checkpoint_every = setup->checkpoint_every;
+  if (setup->checkpoint) pass.resume = &setup->checkpoint->resume;
+  SketchFleet fleet({});
+  std::string error;
+  const bool seeded =
+      setup->checkpoint
+          ? fleet.adopt(kServeTenant, std::move(setup->checkpoint->sketch),
+                        pass.resume->edges_kept, &error)
+          : fleet.create(kServeTenant, *setup->fresh_params, &error);
+  if (!seeded) {
+    std::fprintf(stderr, "cannot create tenant '%s': %s\n", kServeTenant,
+                 error.c_str());
+    return 1;
   }
-  server->start(*stream);
-  std::printf("serving; commands: estimate <id,id,...> | solve <k> | stats | "
-              "save <path> | wait [<ms>] | quit\n");
-  std::fflush(stdout);
+  // Written by the pass thread; read only once pass_done is ready.
+  bool pass_failed = false;
+  std::string pass_error;
+  std::future<void> pass_done = std::async(std::launch::async, [&] {
+    pass_failed = !run_file_pass(fleet, kServeTenant, *stream, pass, &pass_error);
+  });
+  const auto counters = [&pass] {
+    return " edges=" + std::to_string(pass.edges.load()) +
+           " checkpoint_failures=" +
+           std::to_string(pass.checkpoint_failures.load());
+  };
+  const auto ended = [&](const char* state) {
+    return pass_failed ? "err pass failed: " + pass_error + "\n"
+                       : std::string("ok pass ") + state + counters() + "\n";
+  };
+  std::fprintf(stderr,
+               "serving %s as tenant '%s': one request per stdin line "
+               "(docs/PROTOCOL.md); wait [<ms>] waits for the pass, quit "
+               "ends it\n",
+               input.c_str(), kServeTenant);
 
-  char line[4096];
-  while (std::fgets(line, sizeof line, stdin) != nullptr) {
-    std::string text(line);
-    // A line that fills the buffer without a newline was truncated by
-    // fgets; silently acting on the prefix could estimate the wrong family
-    // (a split set id is often still a valid id). Reject it and drain the
-    // remainder so the tail is not parsed as bogus follow-up commands.
-    if (!text.empty() && text.back() != '\n' && !std::feof(stdin)) {
-      int drained;
-      while ((drained = std::fgetc(stdin)) != EOF && drained != '\n') {
+  std::string line;
+  bool closing = false;
+  while (!closing && std::getline(std::cin, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    std::istringstream words(line);
+    std::string command, ms, extra;
+    words >> command >> ms >> extra;
+    std::string reply;
+    if (command == "wait") {
+      // `wait` blocks until the pass ends; `wait <ms>` answers either way.
+      const bool valid = extra.empty() && ms.size() <= 9 &&
+                         ms.find_first_not_of("0123456789") == std::string::npos;
+      if (!valid) {
+        reply = "err usage: wait [<ms>]\n";
+      } else if (ms.empty() ||
+                 pass_done.wait_for(std::chrono::milliseconds(std::stol(ms))) ==
+                     std::future_status::ready) {
+        pass_done.wait();
+        reply = ended("done");
+      } else {
+        reply = "ok pass running" + counters() + "\n";
       }
-      std::printf("command too long (max %zu bytes); ignored\n",
-                  sizeof line - 2);
-      std::fflush(stdout);
-      continue;
+    } else {
+      const FleetBatchRequest request{line, std::chrono::steady_clock::now()};
+      const FleetBatchResult result = execute_fleet_batch(fleet, {&request, 1}, 0);
+      reply = result.responses;
+      closing = result.close;
     }
-    while (!text.empty() && (text.back() == '\n' || text.back() == '\r')) {
-      text.pop_back();
-    }
-    const std::shared_ptr<const SubsampleSketch> snapshot = server->snapshot();
-    if (text == "quit") break;
-    if (text == "wait") {
-      const StreamEngine::PassStats stats = server->wait();
-      std::printf("ingest done: %zu edges\n", stats.edges_kept);
-    } else if (text.rfind("wait ", 0) == 0) {
-      // Bounded variant: `wait <ms>` returns either way, so a scripted
-      // session (the CI smoke) cannot hang forever on a stuck ingest.
-      const std::string arg = text.substr(5);
-      char* rest = nullptr;
-      const unsigned long long ms = std::strtoull(arg.c_str(), &rest, 10);
-      if (rest == arg.c_str() || *rest != '\0') {
-        std::printf("wait needs a timeout in milliseconds (got '%s')\n",
-                    arg.c_str());
-      } else if (server->wait_for(std::chrono::milliseconds(ms))) {
-        const StreamEngine::PassStats stats = server->wait();
-        std::printf("ingest done: %zu edges\n", stats.edges_kept);
-      } else {
-        std::printf("still ingesting after %llu ms\n", ms);
-      }
-    } else if (text == "stats") {
-      const StreamEngine::PassStats stats = server->stats();
-      std::printf("ingested %zu edges, %s", stats.edges_kept,
-                  server->ingesting() ? "ingesting" : "done");
-      if (server->checkpoint_failures() > 0) {
-        std::printf(", %llu checkpoint FAILURES",
-                    static_cast<unsigned long long>(
-                        server->checkpoint_failures()));
-      }
-      std::printf("; snapshot: ");
-      if (snapshot == nullptr) {
-        std::printf("none yet\n");
-      } else {
-        std::printf("%zu elements / %zu edges, p*=%.5f\n",
-                    snapshot->retained_elements(), snapshot->stored_edges(),
-                    snapshot->p_star());
-      }
-      std::printf("cpu features: %s; kernel dispatch: %s\n",
-                  cpu_features().describe().c_str(), isa_name(active_isa()));
-    } else if (text.rfind("estimate ", 0) == 0) {
-      if (snapshot == nullptr) {
-        std::printf("no snapshot yet\n");
-      } else {
-        const std::optional<std::vector<SetId>> family =
-            parse_set_list(text.substr(9), snapshot->params().num_sets);
-        if (family) {
-          std::printf("estimate = %.1f\n", snapshot->estimate_coverage(*family));
-        }  // bad ids: parse_set_list already printed why; keep serving
-      }
-    } else if (text.rfind("solve ", 0) == 0) {
-      const std::string arg = text.substr(6);
-      char* rest = nullptr;
-      const unsigned long long k = std::strtoull(arg.c_str(), &rest, 10);
-      // The cast below truncates: a k past the SetId range must be rejected
-      // here, not wrapped (2^32 would become a silent k = 0).
-      if (rest == arg.c_str() || *rest != '\0' || k == 0 ||
-          k > 0xffffffffULL) {
-        std::printf("solve needs a positive 32-bit k (got '%s')\n", arg.c_str());
-      } else {
-        // Answered from the freshest published handle; ingestion continues
-        // untouched while the solve runs (serve/sketch_server.hpp).
-        const std::optional<KCoverResult> answer =
-            server->solve(static_cast<std::uint32_t>(k));
-        if (!answer) {
-          std::printf("no snapshot yet\n");
-        } else {
-          std::printf("solve k=%llu: estimated coverage %.1f; solution:", k,
-                      answer->estimated_coverage);
-          for (const SetId s : answer->solution) std::printf(" %u", s);
-          std::printf("\n");
-        }
-      }
-    } else if (text.rfind("save ", 0) == 0) {
-      std::string error;
-      if (snapshot == nullptr) {
-        std::printf("no snapshot yet\n");
-      } else if (save_snapshot(*snapshot, text.substr(5), &error)) {
-        std::printf("saved %s\n", text.substr(5).c_str());
-      } else {
-        std::printf("save failed: %s\n", error.c_str());
-      }
-    } else if (!text.empty()) {
-      std::printf("unknown command: %s\n", text.c_str());
-    }
+    std::fputs(reply.c_str(), stdout);
     std::fflush(stdout);
   }
-  // quit / EOF: end the pass at the next chunk boundary instead of draining
-  // a possibly huge stream (a configured --checkpoint gets a final write, so
-  // --resume finishes the remainder later). `wait` above drains fully.
-  server->stop();
-  const StreamEngine::PassStats stats = server->wait();
-  std::printf("bye (%zu edges ingested)\n", stats.edges_kept);
-  return 0;
+  const bool finished =
+      pass_done.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  pass.stop.store(true);
+  pass_done.wait();
+  std::fputs(ended(finished ? "done" : "stopped").c_str(), stdout);
+  return pass_failed ? 1 : 0;
+}
+
+int cmd_serve(CliArgs& args) {
+  if (args.has("port")) return cmd_serve_fleet(args, args.get_size("port", 0));
+  return cmd_serve_stdin(args);
 }
 
 int cmd_worker(CliArgs& args) {
   const std::string input = args.get_string("input", "");
   const std::size_t shard = args.get_size("shard", 0);
   const std::size_t shards = args.get_size("shards", 0);
-  const std::string routing_name = args.get_string("routing", "hash");
   const std::string out =
       args.get_string("out", "shard" + std::to_string(shard) + ".snap");
   const SetId n = static_cast<SetId>(args.get_size("n", 0));
@@ -823,13 +786,6 @@ int cmd_worker(CliArgs& args) {
                  shard, shards);
     return 2;
   }
-  const std::optional<ShardRouting> routing = parse_shard_routing(routing_name);
-  if (!routing) {
-    std::fprintf(stderr, "unknown --routing=%s (want hash|rr)\n",
-                 routing_name.c_str());
-    return 2;
-  }
-
   // Same params a single-stream ingest of the whole file would use — the
   // whole point: W workers with identical flags produce shards that merge
   // into exactly that single-stream sketch.
@@ -837,7 +793,6 @@ int cmd_worker(CliArgs& args) {
   ShardManifest manifest;
   manifest.shard_id = static_cast<std::uint32_t>(shard);
   manifest.shard_count = static_cast<std::uint32_t>(shards);
-  manifest.routing = *routing;
   manifest.router_seed = shard_router_seed(params);
 
   auto stream = open_stream(input);
@@ -858,8 +813,8 @@ int cmd_worker(CliArgs& args) {
     return 1;
   }
   std::printf("worker %zu/%zu (%s): owned %zu of %zu edges -> %s\n", shard,
-              shards, routing_name.c_str(), stats.edges_kept, stats.edges_read,
-              out.c_str());
+              shards, to_string(manifest.routing).c_str(), stats.edges_kept,
+              stats.edges_read, out.c_str());
   std::printf("  sketch     : %zu elements / %zu edges, p*=%.5f\n",
               snapshot.sketch.retained_elements(),
               snapshot.sketch.stored_edges(), snapshot.sketch.p_star());
@@ -906,10 +861,10 @@ int cmd_coordinator(CliArgs& args) {
   const std::string strategy_name = args.get_string("strategy", "decremental");
   const std::string out = args.get_string("out", "");
   const std::size_t threads = args.get_size("threads", 0);
-  const std::size_t port = args.get_size("port", 0);
+  const bool serve = args.has("port");
   // With --port the remaining serve flags belong to cmd_serve_fleet, which
   // finishes the args itself.
-  if (port == 0) args.finish();
+  if (!serve) args.finish();
   if (list.empty() == dir.empty()) {
     std::fprintf(stderr,
                  "coordinator needs exactly one of --snapshots=<a,b,...> or "
@@ -990,11 +945,12 @@ int cmd_coordinator(CliArgs& args) {
   }
   solve_and_print(*merged, k, strategy_name, *strategy,
                   pool.has_value() ? &*pool : nullptr);
-  if (port > 0) {
+  if (serve) {
     pool.reset();  // the fleet serves off its own pool
     std::fflush(stdout);
     return cmd_serve_fleet(
-        args, port, [&merged, total_edges](SketchFleet& fleet, std::string* err) {
+        args, args.get_size("port", 0),
+        [&merged, total_edges](SketchFleet& fleet, std::string* err) {
           return fleet.adopt("merged", std::move(*merged), total_edges, err);
         });
   }

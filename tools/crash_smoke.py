@@ -27,6 +27,7 @@ run with it. Usage: python3 tools/crash_smoke.py [path/to/covstream_cli]
 """
 
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -82,14 +83,15 @@ class Client:
         self.sock.close()
 
 
-def start_server(cli, port, spill, failpoints=None):
+def start_server(cli, spill, failpoints=None):
+    """Boots the server on an ephemeral port; returns (process, port)."""
     env = dict(os.environ)
     if failpoints is not None:
         env["COVSTREAM_FAILPOINTS"] = failpoints
     else:
         env.pop("COVSTREAM_FAILPOINTS", None)
     server = subprocess.Popen(
-        [cli, "--cmd=serve", f"--port={port}", "--persist",
+        [cli, "--cmd=serve", "--port=0", "--persist",
          f"--spill-dir={spill}", "--threads=2"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
     # Persistent mode prints a boot report (and possibly quarantine/sweep
@@ -97,7 +99,7 @@ def start_server(cli, port, spill, failpoints=None):
     for _ in range(20):
         banner = server.stdout.readline()
         if "fleet serving on" in banner:
-            return server
+            return server, int(re.search(r"127\.0\.0\.1:(\d+)", banner).group(1))
         if not banner:
             break
     raise AssertionError(f"server never printed its banner (last: {banner!r})")
@@ -141,13 +143,13 @@ def read_bytes(path):
         return f.read()
 
 
-def reference_run(cli, port, work_dir):
+def reference_run(cli, work_dir):
     """Returns (ref1, ref2, est1, est2): per-tenant snapshot bytes and
     estimate lines for the two flushed states."""
     spill = os.path.join(work_dir, "ref_spill")
     refs = os.path.join(work_dir, "refs")
     os.makedirs(refs)
-    server = start_server(cli, port, spill)
+    server, port = start_server(cli, spill)
     try:
         c = Client(port)
         drive_to_state1(c)
@@ -169,7 +171,7 @@ def reference_run(cli, port, work_dir):
 
     # Restart-equivalence: a fleet booted from the spill dir answers exactly
     # like the fleet that was never stopped.
-    server = start_server(cli, port, spill)
+    server, port = start_server(cli, spill)
     try:
         c = Client(port)
         tenants = c.expect("tenants", "ok tenants ")
@@ -191,10 +193,10 @@ def reference_run(cli, port, work_dir):
     return ref1, ref2, est1, est2
 
 
-def crash_run(cli, port, spill, site, nth):
+def crash_run(cli, spill, site, nth):
     """One crash attempt. Returns True if the abort fired (exit 42), False
     if the flush completed before the Nth hit (sweep exhausted)."""
-    server = start_server(cli, port, spill, failpoints="")
+    server, port = start_server(cli, spill, failpoints="")
     crashed = False
     try:
         c = Client(port)
@@ -221,8 +223,8 @@ def crash_run(cli, port, spill, site, nth):
     return crashed
 
 
-def check_recovery(cli, port, spill, work_dir, ref1, ref2, est1, est2, label):
-    server = start_server(cli, port, spill)
+def check_recovery(cli, spill, work_dir, ref1, ref2, est1, est2, label):
+    server, port = start_server(cli, spill)
     try:
         c = Client(port)
         tenants = c.expect("tenants", "ok tenants ")
@@ -255,21 +257,20 @@ def check_recovery(cli, port, spill, work_dir, ref1, ref2, est1, est2, label):
 
 def main():
     cli = sys.argv[1] if len(sys.argv) > 1 else "./build/covstream_cli"
-    port = 41000 + (os.getpid() % 20000)
     crashes = 0
     with tempfile.TemporaryDirectory(prefix="covstream_crash_") as work_dir:
-        ref1, ref2, est1, est2 = reference_run(cli, port, work_dir)
+        ref1, ref2, est1, est2 = reference_run(cli, work_dir)
         for site in SITES:
             exhausted = False
             for nth in range(1, MAX_N + 1):
                 spill = os.path.join(work_dir, f"{site}.{nth}")
-                if not crash_run(cli, port, spill, site, nth):
+                if not crash_run(cli, spill, site, nth):
                     # The flush performed fewer than `nth` hits of this
                     # site: every boundary has been crashed. Move on.
                     exhausted = True
                     break
                 crashes += 1
-                check_recovery(cli, port, spill, work_dir, ref1, ref2,
+                check_recovery(cli, spill, work_dir, ref1, ref2,
                                est1, est2, label=f"{site}@{nth}")
                 print(f"  {site}@{nth}: crashed (exit 42), "
                       f"recovered bit-for-bit")

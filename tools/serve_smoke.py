@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Multi-client TCP smoke for `covstream_cli --cmd=serve --port=N`.
+"""Multi-client TCP smoke for `covstream_cli --cmd=serve --port=0`.
 
-Boots the fleet server on a throwaway port and drives it the way a real
+Boots the fleet server on an ephemeral port (read back from its banner) and
+drives it the way a real
 deployment gets hit — several concurrent populations at once:
 
   * protocol clients walking the whole surface — create, ingest, estimate,
@@ -25,7 +26,7 @@ shipped binary end to end, exactly as an operator would.
 Usage: python3 tools/serve_smoke.py [path/to/covstream_cli]
 """
 
-import os
+import re
 import socket
 import subprocess
 import sys
@@ -155,10 +156,9 @@ def abrupt_session(port, idx, failures):
 
 def main():
     cli = sys.argv[1] if len(sys.argv) > 1 else "./build/covstream_cli"
-    port = 40000 + (os.getpid() % 20000)
     with tempfile.TemporaryDirectory(prefix="covstream_smoke_") as spill:
         server = subprocess.Popen(
-            [cli, "--cmd=serve", f"--port={port}", "--tenants-budget=20000",
+            [cli, "--cmd=serve", "--port=0", "--tenants-budget=20000",
              f"--spill-dir={spill}", "--threads=4",
              "--max-connections=2048", "--batch-window-us=500"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
@@ -172,6 +172,7 @@ def main():
                 if "fleet serving on" in banner:
                     break
             assert "fleet serving on" in banner, f"bad banner: {banner!r}"
+            port = int(re.search(r"127\.0\.0\.1:(\d+)", banner).group(1))
 
             # Park a couple hundred idle connections for the whole smoke:
             # every phase below runs while these sit on the reactor.
