@@ -164,8 +164,8 @@ void BM_EstimateOnly(benchmark::State& state) {
   drive(state, fleet, requests);
 }
 
-/// Warm-cache solves: every request after the first per tenant hits the
-/// (tenant, version) solver cache — index and scratch reused.
+/// Warm-cache solves: every request after the first per tenant reuses the
+/// warm solver on the tenant's published handle — index and scratch reused.
 void BM_SolveWarmCache(benchmark::State& state) {
   SketchFleet fleet({});
   populate(fleet);

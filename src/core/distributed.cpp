@@ -202,11 +202,6 @@ ShardedSketchBuilder::ShardedSketchBuilder(SketchParams params, std::size_t shar
   }
 }
 
-void ShardedSketchBuilder::update(std::size_t shard, const Edge& edge) {
-  COVSTREAM_CHECK(shard < shards_.size());
-  shards_[shard].update(edge);
-}
-
 void ShardedSketchBuilder::consume(EdgeStream& stream, ShardRouting routing,
                                    std::size_t batch_edges) {
   const StreamEngine engine({batch_edges, pool_});

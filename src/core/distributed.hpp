@@ -128,10 +128,6 @@ class ShardedSketchBuilder {
 
   std::size_t shard_count() const { return shards_.size(); }
 
-  /// Routes an edge to a specific shard (the distributed setting: whichever
-  /// worker owns that part of the input).
-  void update(std::size_t shard, const Edge& edge);
-
   /// Consumes a whole stream through the engine's partitioned fan-out
   /// (shard updates parallelized when a pool is given). `batch_edges` = 0
   /// picks the engine default.

@@ -120,8 +120,8 @@ void SketchLadder::update_chunk(std::span<const Edge> edges) {
 void SketchLadder::consume(EdgeStream& stream, const EdgeFilter& filter,
                            std::size_t batch_edges) {
   // update_chunk already fans rungs out over the pool (one task per rung per
-  // chunk, barrier between chunks — the same shape run_replicated gave), so
-  // one engine chunk feed suffices and the per-chunk hash sweep runs once.
+  // chunk, barrier between chunks), so one engine chunk feed suffices and
+  // the per-chunk hash sweep runs once.
   const StreamEngine engine({batch_edges, nullptr});
   engine.run(stream, filter,
              [this](std::span<const Edge> chunk) { update_chunk(chunk); });

@@ -73,9 +73,8 @@ KCoverResult kcover_on_sketch(const SubsampleSketch& sketch, std::uint32_t k,
                               ThreadPool* pool = nullptr);
 
 /// The solve + result assembly of kcover_on_sketch for callers that keep a
-/// warm Solver over one view across queries (the fleet's solver cache keeps
-/// one per published handle). `view` must be `solver`'s view and `sketch`
-/// its owner.
+/// warm Solver over one view across queries (each fleet handle carries
+/// one). `view` must be `solver`'s view and `sketch` its owner.
 KCoverResult kcover_with_solver(const SubsampleSketch& sketch,
                                 const SketchView& view, Solver& solver,
                                 std::uint32_t k);

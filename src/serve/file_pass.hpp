@@ -5,9 +5,9 @@
 // pass into a SketchFleet tenant: every chunk is admitted with
 // SketchFleet::ingest, so the fleet publishes an immutable handle per chunk
 // and every reader — a stdin line, a TCP connection, an embedding thread —
-// answers through the fleet while the pass runs. Publication, the warm
-// solver cache and the wire grammar are the fleet's; this file adds only
-// the pass and its recovery point.
+// answers through the fleet while the pass runs. Publication, warm solvers
+// and the wire grammar are the fleet's; this file adds only the pass and
+// its recovery point.
 //
 // With a checkpoint path set, an IngestCheckpoint (the tenant's sketch plus
 // the StreamEngine::ResumePoint of the chunk boundary it was taken at, one

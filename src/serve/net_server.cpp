@@ -463,20 +463,23 @@ FleetBatchResult execute_fleet_batch(SketchFleet& fleet,
         continue;
       }
       std::string error;
-      if (!fleet.ingest(tenant, edges, &error)) {
-        // One admission, one outcome: every member reports the shared error
-        // (the serial path reports it per line too — admission errors are
-        // tenant-level: unknown tenant, degraded fleet, failed reload).
-        for (std::size_t m = 0; m < line_counts.size(); ++m) {
-          result.responses += "err " + error + "\n";
-        }
-      } else {
+      if (fleet.ingest(tenant, edges, &error)) {
         for (const std::size_t count : line_counts) {
           result.responses += "ok ingested " + std::to_string(count) + "\n";
         }
+        result.batched_requests += line_counts.size();
+        result.coalesced_ingest_lines += line_counts.size();
+      } else {
+        // A refused admission admitted nothing, so the run's lines re-run
+        // one at a time: each gets exactly its serial answer, and one line
+        // with an out-of-range set id cannot fail its neighbours.
+        for (std::size_t m = i; m < j; ++m) {
+          bool ignored = false;
+          result.responses +=
+              handle_fleet_request(fleet, batch[m].line, &ignored, pool, server);
+          result.responses += '\n';
+        }
       }
-      result.batched_requests += line_counts.size();
-      result.coalesced_ingest_lines += line_counts.size();
       result.served += line_counts.size();
       i = j;
       continue;

@@ -31,6 +31,26 @@ bool set_error(std::string* error, const std::string& message) {
   return false;
 }
 
+/// The range check ingest and estimate share: false (with the wire's error
+/// wording) when `set` lies outside a universe of `num_sets` sets.
+bool check_set(SetId set, SetId num_sets, std::string* error) {
+  if (set < num_sets) return true;
+  return set_error(error, "set id " + std::to_string(set) +
+                              " outside universe [0, " +
+                              std::to_string(num_sets) + ")");
+}
+
+/// One family's estimate on a published sketch, or nullopt + *error when a
+/// set id is out of range.
+std::optional<double> estimate_on(const SubsampleSketch& sketch,
+                                  std::span<const SetId> family,
+                                  std::string* error) {
+  for (const SetId s : family) {
+    if (!check_set(s, sketch.params().num_sets, error)) return std::nullopt;
+  }
+  return sketch.estimate_coverage(family);
+}
+
 std::int64_t steady_now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -55,7 +75,6 @@ SketchFleet::SketchFleet(Options options) : options_(std::move(options)) {
   COVSTREAM_CHECK(options_.memory_budget_words == 0 ||
                   !options_.spill_dir.empty());
   COVSTREAM_CHECK(!options_.persistent || !options_.spill_dir.empty());
-  COVSTREAM_CHECK(options_.solver_cache_entries >= 1);
   if (!options_.spill_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(options_.spill_dir, ec);
@@ -396,10 +415,38 @@ std::shared_ptr<SketchFleet::Tenant> SketchFleet::find(const std::string& name,
 }
 
 void SketchFleet::publish(Tenant& tenant) {
-  auto fresh = std::make_shared<const SubsampleSketch>(*tenant.live);
-  const std::lock_guard<std::mutex> lock(tenant.handle_mutex);
-  tenant.handle = std::move(fresh);
-  tenant.published_version = tenant.version;
+  auto fresh = std::make_shared<Published>(*tenant.live);
+  {
+    const std::lock_guard<std::mutex> lock(tenant.handle_mutex);
+    tenant.handle.swap(fresh);
+  }
+  // `fresh` now holds the previous version; it (and its warm solver, if a
+  // solve built one) is freed here, outside the lock, unless a reader still
+  // holds it.
+}
+
+std::shared_ptr<SketchFleet::Published> SketchFleet::acquire(
+    const std::string& name, std::string* error) {
+  const std::shared_ptr<Tenant> tenant = find(name, error);
+  if (tenant == nullptr) return nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(tenant->handle_mutex);
+    if (tenant->handle != nullptr) return tenant->handle;
+  }
+  std::shared_ptr<Published> handle;
+  {
+    const std::lock_guard<std::mutex> work(tenant->work);
+    if (!tenant->resident.load(std::memory_order_relaxed) &&
+        !reload(*tenant, error)) {
+      return nullptr;
+    }
+    // Every handle writer holds work, which we hold: this is the handle the
+    // reload (or a racing reader's) just published, and it is ours before
+    // any spill can run.
+    handle = tenant->handle;
+  }
+  enforce_budget(tenant.get());
+  return handle;
 }
 
 void SketchFleet::reaccount(Tenant& tenant) {
@@ -407,7 +454,7 @@ void SketchFleet::reaccount(Tenant& tenant) {
   if (tenant.live.has_value()) words += tenant.live->space_words();
   // Safe to read without handle_mutex: every handle writer holds work, which
   // the caller holds.
-  if (tenant.handle != nullptr) words += tenant.handle->space_words();
+  if (tenant.handle != nullptr) words += tenant.handle->sketch.space_words();
   const std::lock_guard<std::mutex> lock(registry_mutex_);
   resident_words_ += words;
   resident_words_ -= tenant.accounted_words;
@@ -528,57 +575,23 @@ void SketchFleet::enforce_budget(const Tenant* exclude) {
 
 bool SketchFleet::create(const std::string& name, const SketchParams& params,
                          std::string* error) {
-  if (!valid_tenant_name(name)) {
-    return set_error(error,
-                     "bad tenant name (want [A-Za-z0-9_.-]{1,64}): '" + name +
-                         "'");
-  }
   if (!params.is_valid()) {
     return set_error(error, "invalid sketch params");
   }
-  if (refuse_if_degraded(error)) return false;
-  auto tenant = std::make_shared<Tenant>(params);
-  if (!options_.spill_dir.empty()) {
-    tenant->spill_path = spill_path_for(name);
-  }
-  tenant->live.emplace(params);
-  tenant->version = 1;
-  publish(*tenant);
-  {
-    const std::lock_guard<std::mutex> lock(registry_mutex_);
-    if (!tenants_.try_emplace(name, tenant).second) {
-      return set_error(error, "tenant '" + name + "' already exists");
-    }
-    tenant->last_access.store(clock_.fetch_add(1, std::memory_order_relaxed),
-                              std::memory_order_relaxed);
-  }
-  if (options_.persistent) {
-    // Roster durability: `ok created` must mean a crash right now brings
-    // the tenant back. A manifest that cannot be written rolls the
-    // registration back and fails the create.
-    std::string manifest_error;
-    if (!write_manifest(&manifest_error)) {
-      {
-        const std::lock_guard<std::mutex> lock(registry_mutex_);
-        tenants_.erase(name);
-      }
-      return set_error(error, manifest_error);
-    }
-    // The manifest alone reconstructs an empty tenant, so version 1 is
-    // durable without a spill file.
-    const std::lock_guard<std::mutex> work(tenant->work);
-    tenant->durable_version = 1;
-  }
-  {
-    const std::lock_guard<std::mutex> work(tenant->work);
-    reaccount(*tenant);
-  }
-  enforce_budget(tenant.get());
-  return true;
+  return register_tenant(name, SubsampleSketch(params), 0,
+                         /*manifest_restores=*/true, error);
 }
 
 bool SketchFleet::adopt(const std::string& name, SubsampleSketch&& sketch,
                         std::uint64_t edges_ingested, std::string* error) {
+  return register_tenant(name, std::move(sketch), edges_ingested,
+                         /*manifest_restores=*/false, error);
+}
+
+bool SketchFleet::register_tenant(const std::string& name,
+                                  SubsampleSketch&& sketch,
+                                  std::uint64_t edges_ingested,
+                                  bool manifest_restores, std::string* error) {
   if (!valid_tenant_name(name)) {
     return set_error(error,
                      "bad tenant name (want [A-Za-z0-9_.-]{1,64}): '" + name +
@@ -602,6 +615,9 @@ bool SketchFleet::adopt(const std::string& name, SubsampleSketch&& sketch,
                               std::memory_order_relaxed);
   }
   if (options_.persistent) {
+    // Roster durability: `ok created` must mean a crash right now brings
+    // the tenant back. A manifest that cannot be written rolls the
+    // registration back and fails the call.
     std::string manifest_error;
     if (!write_manifest(&manifest_error)) {
       {
@@ -610,8 +626,13 @@ bool SketchFleet::adopt(const std::string& name, SubsampleSketch&& sketch,
       }
       return set_error(error, manifest_error);
     }
-    // Unlike create(), the manifest alone cannot reconstruct adopted state:
-    // durable_version stays 0, so flush_all writes the spill file.
+    // The manifest alone reconstructs an empty tenant, so version 1 is
+    // durable without a spill file. Adopted state is not: durable_version
+    // stays 0, so flush_all writes the spill file.
+    if (manifest_restores) {
+      const std::lock_guard<std::mutex> work(tenant->work);
+      tenant->durable_version = 1;
+    }
   }
   {
     const std::lock_guard<std::mutex> work(tenant->work);
@@ -626,6 +647,10 @@ bool SketchFleet::ingest(const std::string& name, std::span<const Edge> edges,
   if (refuse_if_degraded(error)) return false;
   const std::shared_ptr<Tenant> tenant = find(name, error);
   if (tenant == nullptr) return false;
+  // All or nothing: one bad edge rejects the batch before any admission.
+  for (const Edge& edge : edges) {
+    if (!check_set(edge.set, tenant->params.num_sets, error)) return false;
+  }
   {
     const std::lock_guard<std::mutex> work(tenant->work);
     if (!tenant->resident.load(std::memory_order_relaxed) &&
@@ -644,47 +669,19 @@ bool SketchFleet::ingest(const std::string& name, std::span<const Edge> edges,
 
 std::shared_ptr<const SubsampleSketch> SketchFleet::handle(
     const std::string& name, std::string* error) {
-  const std::shared_ptr<Tenant> tenant = find(name, error);
-  if (tenant == nullptr) return nullptr;
-  // Between our reload and the re-grab, another thread's budget arbiter can
-  // spill this tenant again (it holds no lock of ours). Retry: find() just
-  // refreshed our LRU tick, so this tenant is the arbiter's LAST choice and
-  // the race closes almost immediately; the bound turns a pathological
-  // evict storm into an error instead of a livelock.
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    {
-      // Fast path: a resident tenant hands its handle out lock-free from the
-      // admit path's perspective (pointer copy only).
-      const std::lock_guard<std::mutex> lock(tenant->handle_mutex);
-      if (tenant->handle != nullptr) return tenant->handle;
-    }
-    // Evicted: reload under work, then loop to re-grab.
-    {
-      const std::lock_guard<std::mutex> work(tenant->work);
-      if (!tenant->resident.load(std::memory_order_relaxed) &&
-          !reload(*tenant, error)) {
-        return nullptr;
-      }
-    }
-    enforce_budget(tenant.get());
-  }
-  set_error(error, "tenant '" + name + "' kept being evicted mid-read");
-  return nullptr;
+  std::shared_ptr<Published> published = acquire(name, error);
+  if (published == nullptr) return nullptr;
+  // Aliasing constructor: the sketch pointer keeps the whole handle alive.
+  const SubsampleSketch* sketch = &published->sketch;
+  return {std::move(published), sketch};
 }
 
 std::optional<double> SketchFleet::estimate(const std::string& name,
                                             std::span<const SetId> family,
                                             std::string* error) {
-  const std::shared_ptr<const SubsampleSketch> sketch = handle(name, error);
-  if (sketch == nullptr) return std::nullopt;
-  for (const SetId s : family) {
-    if (s >= sketch->params().num_sets) {
-      set_error(error, "set id " + std::to_string(s) + " outside universe [0, " +
-                           std::to_string(sketch->params().num_sets) + ")");
-      return std::nullopt;
-    }
-  }
-  return sketch->estimate_coverage(family);
+  const std::shared_ptr<Published> published = acquire(name, error);
+  if (published == nullptr) return std::nullopt;
+  return estimate_on(published->sketch, family, error);
 }
 
 bool SketchFleet::estimate_batch(const std::string& name,
@@ -695,23 +692,12 @@ bool SketchFleet::estimate_batch(const std::string& name,
   // One handle grab for the whole run: the reload-if-evicted check and the
   // handle_mutex pointer copy amortize over every family, and all members
   // answer from the same immutable published version.
-  const std::shared_ptr<const SubsampleSketch> sketch = handle(name, error);
-  if (sketch == nullptr) return false;
+  const std::shared_ptr<Published> published = acquire(name, error);
+  if (published == nullptr) return false;
   out->reserve(families.size());
-  const SetId num_sets = sketch->params().num_sets;
   for (const std::vector<SetId>& family : families) {
     EstimateOutcome outcome;
-    bool in_range = true;
-    for (const SetId s : family) {
-      if (s >= num_sets) {
-        outcome.error = "set id " + std::to_string(s) +
-                        " outside universe [0, " + std::to_string(num_sets) +
-                        ")";
-        in_range = false;
-        break;
-      }
-    }
-    if (in_range) outcome.value = sketch->estimate_coverage(family);
+    outcome.value = estimate_on(published->sketch, family, &outcome.error);
     out->push_back(std::move(outcome));
   }
   {
@@ -729,83 +715,31 @@ std::optional<KCoverResult> SketchFleet::solve(const std::string& name,
     set_error(error, "k must be positive");
     return std::nullopt;
   }
-  const std::shared_ptr<Tenant> tenant = find(name, error);
-  if (tenant == nullptr) return std::nullopt;
-  // Make sure a handle exists (reloads if evicted); the cache keys off the
-  // published version. A concurrent evict can null the handle between the
-  // reload and solve_cached's grab — retry, bounded so a pathological evict
-  // storm degrades to an error instead of a livelock.
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    if (handle(name, error) == nullptr) return std::nullopt;
-    std::optional<KCoverResult> result = solve_cached(name, tenant, k);
-    if (result.has_value()) return result;
+  const std::shared_ptr<Published> published = acquire(name, error);
+  if (published == nullptr) return std::nullopt;
+  // Solves of one version serialize here — on its handle, never on the
+  // tenant's ingest path or the fleet registry. The first builds the warm
+  // solver every later solve of the version reuses.
+  const std::lock_guard<std::mutex> solve(published->solve_mutex);
+  const bool warm = published->solver.has_value();
+  if (!warm) {
+    published->view = published->sketch.view();
+    published->solver.emplace(published->view);
   }
-  set_error(error, "tenant '" + name + "' kept being evicted mid-solve");
-  return std::nullopt;
-}
-
-std::optional<KCoverResult> SketchFleet::solve_cached(
-    const std::string& name, const std::shared_ptr<Tenant>& tenant,
-    std::uint32_t k) {
-  std::shared_ptr<const SubsampleSketch> sketch;
-  std::uint64_t version = 0;
   {
-    const std::lock_guard<std::mutex> lock(tenant->handle_mutex);
-    sketch = tenant->handle;
-    version = tenant->published_version;
+    const std::lock_guard<std::mutex> lock(registry_mutex_);
+    ++(warm ? cache_hits_ : cache_misses_);
   }
-  if (sketch == nullptr) return std::nullopt;  // dropped or re-evicted; rare
-  const std::string key = name + "@" + std::to_string(version);
-  std::shared_ptr<SolveEntry> entry;
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    const auto it = solve_cache_.find(key);
-    if (it != solve_cache_.end()) {
-      entry = it->second;
-      ++cache_hits_;
-    } else {
-      entry = std::make_shared<SolveEntry>();
-      entry->handle = std::move(sketch);
-      solve_cache_.emplace(key, entry);
-      ++cache_misses_;
-      // LRU bound: erase the stalest entries. An in-flight solve keeps its
-      // entry alive through its shared_ptr; erasing only drops the cache's
-      // reference.
-      while (solve_cache_.size() > options_.solver_cache_entries) {
-        auto coldest = solve_cache_.end();
-        std::uint64_t coldest_use = ~0ULL;
-        for (auto jt = solve_cache_.begin(); jt != solve_cache_.end(); ++jt) {
-          if (jt->second == entry) continue;
-          const std::uint64_t use =
-              jt->second->last_use.load(std::memory_order_relaxed);
-          if (use < coldest_use) {
-            coldest_use = use;
-            coldest = jt;
-          }
-        }
-        if (coldest == solve_cache_.end()) break;
-        solve_cache_.erase(coldest);
-      }
-    }
-    entry->last_use.store(clock_.fetch_add(1, std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-  }
-  // Solves on one (tenant, version) serialize here — on the entry, never on
-  // the tenant's ingest path or the fleet registry.
-  const std::lock_guard<std::mutex> run(entry->run);
-  if (!entry->solver.has_value()) {
-    entry->view = entry->handle->view();
-    entry->solver.emplace(entry->view);
-  }
-  return kcover_with_solver(*entry->handle, entry->view, *entry->solver, k);
+  return kcover_with_solver(published->sketch, published->view,
+                            *published->solver, k);
 }
 
 bool SketchFleet::save(const std::string& name, const std::string& path,
                        std::string* error) {
-  const std::shared_ptr<const SubsampleSketch> sketch = handle(name, error);
-  if (sketch == nullptr) return false;
+  const std::shared_ptr<Published> published = acquire(name, error);
+  if (published == nullptr) return false;
   std::string io_error;
-  if (!save_snapshot(*sketch, path, &io_error)) {
+  if (!save_snapshot(published->sketch, path, &io_error)) {
     return set_error(error, "save failed: " + io_error);
   }
   return true;
@@ -845,7 +779,6 @@ bool SketchFleet::drop(const std::string& name, std::string* error) {
       std::remove(tenant->spill_path.c_str());
     }
   }
-  forget_solver_entries(name);
   if (options_.persistent) {
     // Best-effort: a manifest that cannot shrink leaves a stale roster
     // entry whose spill file is gone — the next boot recreates it empty or
@@ -857,18 +790,6 @@ bool SketchFleet::drop(const std::string& name, std::string* error) {
     }
   }
   return true;
-}
-
-void SketchFleet::forget_solver_entries(const std::string& name) {
-  const std::string prefix = name + "@";
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  for (auto it = solve_cache_.begin(); it != solve_cache_.end();) {
-    if (it->first.compare(0, prefix.size(), prefix) == 0) {
-      it = solve_cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 std::optional<SketchFleet::TenantStats> SketchFleet::tenant_stats(
@@ -907,17 +828,14 @@ SketchFleet::FleetStats SketchFleet::stats() const {
     stats.budget_words = options_.memory_budget_words;
     stats.evictions = evictions_;
     stats.reloads = reloads_;
+    stats.solver_cache_hits = cache_hits_;
+    stats.solver_cache_misses = cache_misses_;
     stats.degraded = degraded_;
     stats.spill_failures = spill_failures_;
     stats.quarantined = quarantined_;
     stats.flushed_tenants = flushed_tenants_;
     stats.estimate_batches = estimate_batches_;
     stats.batched_estimates = batched_estimates_;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    stats.solver_cache_hits = cache_hits_;
-    stats.solver_cache_misses = cache_misses_;
   }
   return stats;
 }

@@ -1,5 +1,5 @@
 // Multi-tenant sketch fleet: many named sketches behind one registry, one
-// memory budget, and one warm solver cache (DESIGN.md §5.12).
+// memory budget, and one published handle per tenant (DESIGN.md §5.12).
 //
 // The paper's sketches are O~(n) words each, which is what makes a FLEET of
 // them viable: thousands of live tenants fit one machine as long as somebody
@@ -7,10 +7,9 @@
 //
 //   * every tenant is a named sketch published copy-on-write — a live
 //     sketch mutated only under the tenant's work mutex, and an immutable
-//     shared_ptr<const SubsampleSketch> handle republished
-//     after every ingest batch. Reads (estimate) grab the handle under a
-//     pointer-swap-only mutex and compute outside all locks, so estimates
-//     never block admits and never observe a mutating sketch;
+//     handle republished after every ingest batch. Reads grab the handle
+//     under a pointer-swap-only mutex and compute outside all locks, so
+//     estimates never block admits and never observe a mutating sketch;
 //   * a fleet-wide memory budget (Options::memory_budget_words) is enforced
 //     after every footprint-growing operation: while over budget, the
 //     least-recently-used resident tenant is evicted — serialized to a
@@ -20,18 +19,19 @@
 //     (DESIGN.md §5.9), so an evicted-then-reloaded tenant answers every
 //     estimate and solve exactly like a never-evicted one (pinned by
 //     tests/serve/fleet_test.cpp);
-//   * solves go through a warm solver cache keyed by (tenant, version):
-//     repeated solves against one published handle reuse the CoverageIndex
-//     and GreedyScratch (the Solver warm path, DESIGN.md §5.10) instead of
-//     rebuilding them per request. Entries hold their handle alive, are
-//     LRU-bounded by Options::solver_cache_entries, and serialize solves per
-//     entry — two tenants solve in parallel, two solves of one (tenant,
-//     version) queue behind each other, and nobody ever blocks an admit.
+//   * the handle is the tenant's only read state: the first solve of a
+//     version builds its SketchView and warm Solver (CoverageIndex +
+//     GreedyScratch, DESIGN.md §5.10) on the handle, and later solves of
+//     that version reuse them. The solver is freed with its handle — on the
+//     next ingest, eviction or drop — so there is at most one per live
+//     handle. Two tenants solve in parallel, two solves of one version
+//     queue behind each other, and nobody ever blocks an admit.
 //
 // Lock order (deadlock freedom): registry_mutex_ and a tenant's work mutex
 // may both be held only in the order work-then-registry (accounting updates)
 // or registry-then-try_lock(work) (eviction scans) — the eviction scan never
-// blocks on a busy tenant, it skips it.
+// blocks on a busy tenant, it skips it. A handle's solve mutex is taken with
+// no tenant lock held, and only registry_mutex_ is taken under it.
 #pragma once
 
 #include <atomic>
@@ -64,8 +64,6 @@ class SketchFleet {
     /// Directory for eviction spill files (created on demand). Required when
     /// memory_budget_words > 0 or persistent is set.
     std::string spill_dir;
-    /// Warm solver cache capacity in (tenant, version) entries.
-    std::size_t solver_cache_entries = 64;
     /// Persistent mode (DESIGN.md §5.13): the spill dir is the source of
     /// truth. The constructor scans it — restoring the roster from the
     /// manifest, quarantining corrupt/orphaned files, sweeping crash
@@ -82,8 +80,8 @@ class SketchFleet {
   SketchFleet(const SketchFleet&) = delete;
   SketchFleet& operator=(const SketchFleet&) = delete;
 
-  /// Registers a fresh, empty tenant. False (with *error) on a bad name, a
-  /// duplicate, or invalid params.
+  /// Registers a fresh, empty tenant. False (with *error) on invalid params,
+  /// a bad name, or a duplicate.
   bool create(const std::string& name, const SketchParams& params,
               std::string* error);
 
@@ -97,7 +95,9 @@ class SketchFleet {
              std::uint64_t edges_ingested, std::string* error);
 
   /// Applies one edge batch to the tenant's live sketch and republishes its
-  /// immutable handle (version + 1). Reloads an evicted tenant first.
+  /// immutable handle (version + 1). Reloads an evicted tenant first. A set
+  /// id outside the tenant's universe rejects the whole batch before
+  /// anything is admitted.
   bool ingest(const std::string& name, std::span<const Edge> edges,
               std::string* error);
 
@@ -127,8 +127,8 @@ class SketchFleet {
                       std::span<const std::vector<SetId>> families,
                       std::vector<EstimateOutcome>* out, std::string* error);
 
-  /// Greedy max-k-cover on the current published handle through the warm
-  /// (tenant, version) solver cache.
+  /// Greedy max-k-cover on the current published handle, through the warm
+  /// solver that handle carries (built by its version's first solve).
   std::optional<KCoverResult> solve(const std::string& name, std::uint32_t k,
                                     std::string* error);
 
@@ -141,12 +141,13 @@ class SketchFleet {
   /// Requires a spill_dir. A subsequent operation reloads transparently.
   bool evict(const std::string& name, std::string* error);
 
-  /// Unregisters the tenant, freeing its memory, dropping its solver-cache
-  /// entries, and deleting its spill file.
+  /// Unregisters the tenant, freeing its memory (handle and warm solver
+  /// included, once in-flight reads let go) and deleting its spill file.
   bool drop(const std::string& name, std::string* error);
 
-  /// The tenant's current published handle (reloads if evicted); null +
-  /// *error on unknown tenants. Exposed for embedding and the equality tests.
+  /// The sketch of the tenant's current published handle (reloads if
+  /// evicted); null + *error on unknown tenants. The pointer shares the
+  /// handle's lifetime. Exposed for embedding and the equality tests.
   std::shared_ptr<const SubsampleSketch> handle(const std::string& name,
                                                 std::string* error);
 
@@ -178,6 +179,8 @@ class SketchFleet {
     std::size_t budget_words = 0;
     std::uint64_t evictions = 0;
     std::uint64_t reloads = 0;
+    /// Solves that reused their handle's warm solver, and solves that built
+    /// it (a version's first solve, including the first after a reload).
     std::uint64_t solver_cache_hits = 0;
     std::uint64_t solver_cache_misses = 0;
     /// Degradation surface (DESIGN.md §5.13): degraded goes true when the
@@ -208,13 +211,28 @@ class SketchFleet {
   std::vector<std::string> tenant_names() const;
 
  private:
+  // One published version of a tenant: the immutable sketch copy publish()
+  // makes, plus the view and warm Solver its first solve builds. Readers
+  // hold it by shared_ptr, so a version's solver lives exactly as long as
+  // its handle. Destruction order matters: solver borrows view's CSR, so
+  // members are declared sketch, view, solver — destroyed solver-first.
+  struct Published {
+    explicit Published(const SubsampleSketch& live) : sketch(live) {}
+
+    const SubsampleSketch sketch;
+    std::mutex solve_mutex;  // builds view + solver once; serializes solves
+    SketchView view;
+    std::optional<Solver> solver;
+  };
+
   struct Tenant {
     explicit Tenant(SketchParams p) : params(p) {}
 
     SketchParams params;
     std::string spill_path;
 
-    // work: serializes ingest / evict / reload / save / solve-handle-grab.
+    // work: serializes ingest / evict / reload / drop and the evicted-read
+    // reload in acquire().
     std::mutex work;
     std::optional<SubsampleSketch> live;
     std::uint64_t version = 0;
@@ -228,29 +246,30 @@ class SketchFleet {
     // Written under work; atomic so the eviction scan can read it lock-free.
     std::atomic<bool> resident{true};
 
-    // handle_mutex: pointer swap only — the estimate fast path takes nothing
-    // else. published_version is the version the handle was published at.
+    // handle_mutex: pointer swap only — the read fast path takes nothing
+    // else. Written only with work held; null exactly while not resident.
     std::mutex handle_mutex;
-    std::shared_ptr<const SubsampleSketch> handle;
-    std::uint64_t published_version = 0;
+    std::shared_ptr<Published> handle;
 
     std::atomic<std::uint64_t> last_access{0};
   };
 
-  // One warm (tenant, version) solver entry. Destruction order matters:
-  // solver borrows view's CSR and view's owner is handle, so members are
-  // declared handle, view, solver — destroyed solver-first.
-  struct SolveEntry {
-    std::shared_ptr<const SubsampleSketch> handle;
-    SketchView view;
-    std::optional<Solver> solver;
-    std::mutex run;  // serializes solves on this entry only
-    std::atomic<std::uint64_t> last_use{0};
-  };
-
   std::shared_ptr<Tenant> find(const std::string& name, std::string* error);
+  /// Registers `sketch` as tenant `name` at version 1 (create and adopt).
+  /// `manifest_restores` marks state the manifest alone reconstructs (an
+  /// empty tenant), durable once the manifest is written.
+  bool register_tenant(const std::string& name, SubsampleSketch&& sketch,
+                       std::uint64_t edges_ingested, bool manifest_restores,
+                       std::string* error);
   /// Publishes a fresh immutable copy of `tenant->live` (work held).
   void publish(Tenant& tenant);
+  /// The tenant's current handle, the one path every read takes. Fast path:
+  /// a pointer copy under handle_mutex. An evicted tenant is reloaded and
+  /// its new handle taken while still holding work, which spill and drop
+  /// also need — so no eviction can slip between the two and no retry is
+  /// needed. Null + *error on unknown tenants and failed reloads.
+  std::shared_ptr<Published> acquire(const std::string& name,
+                                     std::string* error);
   /// Reloads an evicted tenant from its spill file (work held).
   bool reload(Tenant& tenant, std::string* error);
   /// Serializes + frees a resident tenant (work held). False on I/O failure
@@ -262,11 +281,6 @@ class SketchFleet {
   /// Evicts LRU resident tenants (skipping busy ones) until within budget.
   /// Must be called with NO tenant work mutex held.
   void enforce_budget(const Tenant* exclude);
-
-  std::optional<KCoverResult> solve_cached(
-      const std::string& name, const std::shared_ptr<Tenant>& tenant,
-      std::uint32_t k);
-  void forget_solver_entries(const std::string& name);
 
   std::string spill_path_for(const std::string& name) const;
   /// Persistent boot (constructor only): sweep temps, restore the roster
@@ -295,6 +309,8 @@ class SketchFleet {
   std::size_t resident_words_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t reloads_ = 0;
+  std::uint64_t cache_hits_ = 0;
+  std::uint64_t cache_misses_ = 0;
   std::uint64_t spill_failures_ = 0;
   std::uint64_t quarantined_ = 0;
   std::uint64_t flushed_tenants_ = 0;
@@ -310,11 +326,6 @@ class SketchFleet {
 
   std::mutex manifest_mutex_;  // serializes manifest build+write
   BootReport boot_report_;
-
-  mutable std::mutex cache_mutex_;  // solve_cache_ structure + counters
-  std::unordered_map<std::string, std::shared_ptr<SolveEntry>> solve_cache_;
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
 
   std::atomic<std::uint64_t> clock_{1};  // LRU tick source (access order)
 };

@@ -82,21 +82,6 @@ StreamEngine::PassStats StreamEngine::run_resumable(
   return stats;
 }
 
-StreamEngine::PassStats StreamEngine::run_replicated(EdgeStream& stream,
-                                                     const EdgeFilter& filter,
-                                                     std::size_t shards,
-                                                     const ShardSink& sink) const {
-  COVSTREAM_CHECK(shards >= 1);
-  return run(stream, filter, [&](std::span<const Edge> chunk) {
-    parallel_for_blocked(
-        pool_, shards,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t s = begin; s < end; ++s) sink(s, chunk);
-        },
-        /*grain=*/1);
-  });
-}
-
 StreamEngine::PassStats StreamEngine::run_partitioned(EdgeStream& stream,
                                                       const EdgeFilter& filter,
                                                       std::size_t shards,

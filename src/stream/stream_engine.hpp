@@ -11,8 +11,6 @@
 //                     the batched-admission rework the Algorithm 5 ladder
 //                     consumes this way and fans rungs out itself, so its
 //                     per-chunk hash sweep runs once — DESIGN.md §5.8);
-//  * run_replicated — every shard sees every chunk (generic broadcast for
-//                     consumers without a shared pre-compute step);
 //  * run_partitioned— a router owns each edge to exactly one shard (the
 //                     distributed builder's round-robin deal, or hash
 //                     partitioning by element).
@@ -119,13 +117,6 @@ class StreamEngine {
                           const ResumePoint* resume_from) const {
     return run_resumable(stream, filter, sink, resume_from, CheckpointOptions());
   }
-
-  /// One pass fanned out to `shards` replicated consumers: each shard sees
-  /// every surviving edge, in arrival order. One pool task per shard per
-  /// chunk. (The ladder used to run on this; it now consumes via run() so
-  /// its shared hash sweep happens once per chunk before rung fan-out.)
-  PassStats run_replicated(EdgeStream& stream, const EdgeFilter& filter,
-                           std::size_t shards, const ShardSink& sink) const;
 
   /// One pass dealt across `shards` partitioned consumers: the router assigns
   /// each surviving edge to exactly one shard; a shard sees its own edges in

@@ -1,5 +1,5 @@
-// SketchFleet: multi-tenant registry + memory arbitration + warm solver
-// cache (DESIGN.md §5.12).
+// SketchFleet: multi-tenant registry + memory arbitration + warm solvers on
+// published handles (DESIGN.md §5.12).
 //
 // The properties under test:
 //  * per-tenant ingest/estimate/solve answers exactly match a directly-built
@@ -10,8 +10,9 @@
 //    its republished handle serializes to identical bytes;
 //  * the budget arbiter evicts cold tenants (never the working set's hot
 //    tenant mid-operation) and the fleet keeps answering correctly;
-//  * the (tenant, version) solver cache reuses warm entries within a version
-//    and rebuilds across versions, without changing any answer;
+//  * a published handle's warm solver is reused within a version and rebuilt
+//    across versions and reloads, without changing any answer, and a solved
+//    version is freed with its handle;
 //  * N client threads of create/ingest/estimate/solve/evict churn are safe
 //    (the TSan CI leg runs this suite) and deterministic per tenant when each
 //    tenant has one writer.
@@ -119,6 +120,13 @@ TEST(Fleet, ErrorsAreMessagesNotAborts) {
   EXPECT_FALSE(fleet.create("real", fleet_params(), &error));  // duplicate
   const std::vector<SetId> outside = {kNumSets};
   EXPECT_FALSE(fleet.estimate("real", outside, &error).has_value());
+  // An out-of-range set id rejects the whole ingest batch: nothing of it is
+  // admitted, and the tenant keeps serving.
+  const std::vector<Edge> mixed = {{1, 10}, {kNumSets, 11}};
+  EXPECT_FALSE(fleet.ingest("real", mixed, &error));
+  EXPECT_EQ(error, "set id 48 outside universe [0, 48)");
+  EXPECT_EQ(fleet.tenant_stats("real")->edges_ingested, 0u);
+  EXPECT_EQ(fleet.estimate("real", std::vector<SetId>{1}, &error), 0.0);
   EXPECT_FALSE(fleet.solve("real", 0, &error).has_value());
   // No spill dir configured: explicit evict reports why.
   EXPECT_FALSE(fleet.evict("real", &error));
@@ -225,7 +233,7 @@ TEST(Fleet, BudgetArbiterEvictsColdTenantsAndAnswersSurvive) {
 
 TEST(Fleet, SolverCacheReusesWithinVersionAndRebuildsAcrossVersions) {
   SketchFleet::Options options;
-  options.solver_cache_entries = 4;
+  options.spill_dir = temp_spill_dir("solver");
   SketchFleet fleet(options);
   std::string error;
   ASSERT_TRUE(fleet.create("hot", fleet_params(), &error)) << error;
@@ -262,8 +270,30 @@ TEST(Fleet, SolverCacheReusesWithinVersionAndRebuildsAcrossVersions) {
   EXPECT_EQ(third->solution, expected.solution);
   EXPECT_EQ(third->estimated_coverage, expected.estimated_coverage);
 
-  // Cache capacity is a bound, not a correctness input: five more tenants
-  // churn the 4-entry LRU and every answer still matches its own sketch.
+  // A solved version is freed with its handle: once the tenant ingests
+  // again, nothing pins it or its warm solver.
+  const std::weak_ptr<const SubsampleSketch> solved = fleet.handle("hot", &error);
+  ASSERT_FALSE(solved.expired()) << error;
+  const std::vector<Edge> last = make_edges(5000, 0x1A57);
+  ASSERT_TRUE(fleet.ingest("hot", last, &error)) << error;
+  EXPECT_TRUE(solved.expired());
+
+  // Eviction frees the warm solver with the handle, so a solve after the
+  // reload rebuilds it — a miss although the version is unchanged — and
+  // still gives the reference answer.
+  ASSERT_TRUE(fleet.solve("hot", 4, &error).has_value()) << error;
+  EXPECT_EQ(fleet.stats().solver_cache_misses, 3u);
+  ASSERT_TRUE(fleet.evict("hot", &error)) << error;
+  const std::optional<KCoverResult> reloaded = fleet.solve("hot", 4, &error);
+  ASSERT_TRUE(reloaded.has_value()) << error;
+  EXPECT_EQ(fleet.stats().solver_cache_misses, 4u);
+  reference.update_chunk(last);
+  const KCoverResult after_reload = kcover_on_sketch(reference, 4);
+  EXPECT_EQ(reloaded->solution, after_reload.solution);
+  EXPECT_EQ(reloaded->estimated_coverage, after_reload.estimated_coverage);
+
+  // Each tenant's handle carries its own solver: five more tenants solve
+  // and every answer still matches its own sketch.
   for (int t = 0; t < 5; ++t) {
     const std::string name = "filler" + std::to_string(t);
     ASSERT_TRUE(fleet.create(name, fleet_params(), &error)) << error;
@@ -303,7 +333,7 @@ TEST(Fleet, ConcurrentChurnIsSafeAndPerTenantDeterministic) {
   // N threads; thread i is the only INGESTER of tenant i but estimates,
   // solves, and evicts ALL tenants concurrently. Under the budget arbiter
   // this exercises every cross-tenant path at once: reload-under-estimate,
-  // eviction racing ingest (skipped via try_lock), solver-cache churn. Run
+  // eviction racing ingest (skipped via try_lock), warm-solver rebuilds. Run
   // under the TSan CI leg. Because each tenant has exactly one writer, its
   // final state must equal a serial reference over that thread's edges.
   constexpr int kThreads = 4;
@@ -311,7 +341,6 @@ TEST(Fleet, ConcurrentChurnIsSafeAndPerTenantDeterministic) {
   SketchFleet::Options options;
   options.spill_dir = temp_spill_dir("churn");
   options.memory_budget_words = 5000;  // tight: forces steady eviction traffic
-  options.solver_cache_entries = 3;
   SketchFleet fleet(options);
   std::string setup_error;
   std::vector<std::vector<Edge>> per_tenant_edges;

@@ -300,6 +300,11 @@ TEST(NetServerBatch, PipelinedBatchMatchesSerialExecution) {
       // a parse error breaks the run but answers identically,
       "estimate a 1,x",
       "estimate a 1",
+      // an ingest run for b whose middle line is out of range: the refused
+      // admission re-runs each line alone,
+      "ingest b 2 200",
+      "ingest b 32 300",
+      "ingest b 3 300",
       // unknown-tenant estimate run: every member gets the same error,
       "estimate ghost 1",
       "estimate ghost 2",
@@ -337,18 +342,20 @@ TEST(NetServerBatch, PipelinedBatchMatchesSerialExecution) {
   EXPECT_EQ(strip_versions(result.responses), strip_versions(serial));
   EXPECT_TRUE(result.close);
   EXPECT_FALSE(result.shutdown);
-  // 21 lines: quit stops the batch, the trailing ping is never served.
+  // 24 lines: quit stops the batch, the trailing ping is never served.
   EXPECT_EQ(result.served, lines.size() - 1);
   // Coalesced runs: ingest a x3, estimate a x3 ("1,2","70","3,4"),
   // estimate ghost x2. ("estimate a " parses as an empty family and opens a
-  // fresh run, but its run has length 1 — not counted.)
+  // fresh run, but its run has length 1 — not counted; nor are b's ingest
+  // lines, which re-ran singly.)
   EXPECT_EQ(result.coalesced_ingest_lines, 3u);
   EXPECT_EQ(result.batched_requests, 3u + 3u + 2u);
 
   // The fleets converged to the same sketch state (again modulo the version
   // counter — content, estimates, and solves must match).
   for (const char* probe : {"estimate a 1,2,3,4", "estimate b 1",
-                            "solve a 3", "stats a", "stats b"}) {
+                            "estimate b 1,2,3", "solve a 3", "stats a",
+                            "stats b"}) {
     bool shutdown = false;
     EXPECT_EQ(strip_versions(handle_fleet_request(batched_fleet, probe,
                                                   &shutdown)),

@@ -129,6 +129,8 @@ TEST(FleetProtocol, GrammarAndErrors) {
             "err usage: ingest <tenant> <set> <elem> [<set> <elem> ...]");
   EXPECT_EQ(handle_fleet_request(fleet, "ingest t 1 10 2 20", &shutdown),
             "ok ingested 2");
+  EXPECT_EQ(handle_fleet_request(fleet, "ingest t 3 30 64 40", &shutdown),
+            "err set id 64 outside universe [0, 64)");
   EXPECT_EQ(handle_fleet_request(fleet, "estimate t 1,x", &shutdown),
             "err estimate: bad id list");
   EXPECT_EQ(handle_fleet_request(fleet, "solve t 0", &shutdown),
@@ -328,7 +330,6 @@ TEST(NetServer, ConcurrentClientsWithEvictionChurn) {
   SketchFleet::Options fleet_options;
   fleet_options.spill_dir = churn_spill_dir();
   fleet_options.memory_budget_words = 5000;
-  fleet_options.solver_cache_entries = 3;
   SketchFleet fleet(fleet_options);
   ThreadPool pool(6);
   NetServer server(fleet, pool, {});

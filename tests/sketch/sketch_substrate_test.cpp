@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "sketch/hll.hpp"
 #include "sketch/kmv.hpp"
 #include "sketch/l0_kcover.hpp"
 #include "stream/arrival_order.hpp"
@@ -77,37 +76,6 @@ TEST_P(KmvAccuracy, RelativeErrorShrinksWithCapacity) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, KmvAccuracy,
                          ::testing::Values(64, 256, 1024, 4096));
-
-TEST(Hll, SmallRangeIsNearExact) {
-  HllSketch sketch(12, 1);
-  for (ElemId e = 0; e < 100; ++e) sketch.add(e);
-  EXPECT_NEAR(sketch.estimate(), 100.0, 5.0);
-}
-
-TEST(Hll, LargeRangeWithinTolerance) {
-  HllSketch sketch(12, 2);
-  const std::size_t truth = 200000;
-  for (ElemId e = 0; e < truth; ++e) sketch.add(e);
-  EXPECT_NEAR(sketch.estimate(), static_cast<double>(truth), 0.1 * truth);
-}
-
-TEST(Hll, MergeEqualsUnion) {
-  HllSketch a(10, 3), b(10, 3), whole(10, 3);
-  for (ElemId e = 0; e < 30000; ++e) {
-    (e % 3 == 0 ? a : b).add(e);
-    whole.add(e);
-  }
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.estimate(), whole.estimate());
-}
-
-TEST(Hll, DuplicatesDoNotInflate) {
-  HllSketch sketch(10, 4);
-  for (int round = 0; round < 5; ++round) {
-    for (ElemId e = 0; e < 1000; ++e) sketch.add(e);
-  }
-  EXPECT_NEAR(sketch.estimate(), 1000.0, 100.0);
-}
 
 TEST(L0KCover, OracleEstimatesFamilyCoverage) {
   const GeneratedInstance gen = make_uniform(30, 2000, 100, 21);

@@ -8,7 +8,6 @@
 #include "stream/arrival_order.hpp"
 #include "stream/edge_stream.hpp"
 #include "stream/file_stream.hpp"
-#include "stream/transforms.hpp"
 #include "workloads/generators.hpp"
 
 namespace covstream {
@@ -174,87 +173,6 @@ TEST(BinaryFile, TruncatedTrailingRecordIsDropped) {
   EXPECT_EQ(drain(stream), (std::vector<Edge>{{1, 11}, {2, 22}}));
   BinaryFileStream batched(path);
   EXPECT_EQ(drain_batched(batched, 2), (std::vector<Edge>{{1, 11}, {2, 22}}));
-}
-
-TEST(FilterStream, KeepsMatchingOnly) {
-  VectorStream base({{0, 1}, {1, 2}, {0, 3}, {2, 4}});
-  FilterStream filtered(&base, [](const Edge& e) { return e.set == 0; });
-  EXPECT_EQ(drain(filtered), (std::vector<Edge>{{0, 1}, {0, 3}}));
-}
-
-TEST(FilterStream, PassPropagates) {
-  VectorStream base({{0, 1}});
-  FilterStream filtered(&base, [](const Edge&) { return true; });
-  drain(filtered);
-  drain(filtered);
-  EXPECT_EQ(base.passes_started(), 2u);
-}
-
-TEST(SampleStream, RateZeroAndOne) {
-  const GeneratedInstance gen = make_uniform(10, 100, 10, 6);
-  VectorStream base(ordered_edges(gen.graph, ArrivalOrder::kRandom, 2));
-  SampleStream none(&base, 0.0, 1);
-  EXPECT_TRUE(drain(none).empty());
-  SampleStream all(&base, 1.0, 1);
-  EXPECT_EQ(drain(all).size(), gen.graph.num_edges());
-}
-
-TEST(SampleStream, ApproximatesRate) {
-  const GeneratedInstance gen = make_uniform(50, 5000, 100, 7);
-  VectorStream base(ordered_edges(gen.graph, ArrivalOrder::kRandom, 3));
-  SampleStream sampled(&base, 0.3, 9);
-  const double kept = static_cast<double>(drain(sampled).size());
-  EXPECT_NEAR(kept / static_cast<double>(gen.graph.num_edges()), 0.3, 0.03);
-}
-
-TEST(SampleStream, StableAcrossPasses) {
-  const GeneratedInstance gen = make_uniform(20, 500, 20, 8);
-  VectorStream base(ordered_edges(gen.graph, ArrivalOrder::kRandom, 4));
-  SampleStream sampled(&base, 0.5, 11);
-  EXPECT_EQ(drain(sampled), drain(sampled))
-      << "the same edge must get the same verdict on every pass";
-}
-
-TEST(LimitStream, TruncatesEachPass) {
-  VectorStream base({{0, 1}, {1, 2}, {2, 3}, {3, 4}});
-  LimitStream limited(&base, 2);
-  EXPECT_EQ(drain(limited).size(), 2u);
-  EXPECT_EQ(drain(limited).size(), 2u);  // fresh limit per pass
-}
-
-TEST(LimitStream, LimitBeyondLengthIsHarmless) {
-  VectorStream base({{0, 1}});
-  LimitStream limited(&base, 100);
-  EXPECT_EQ(drain(limited).size(), 1u);
-}
-
-TEST(ConcatStream, OrderedConcatenation) {
-  VectorStream a({{0, 1}, {0, 2}});
-  VectorStream b({{1, 3}});
-  ConcatStream both({&a, &b});
-  EXPECT_EQ(drain(both), (std::vector<Edge>{{0, 1}, {0, 2}, {1, 3}}));
-  EXPECT_EQ(both.edges_per_pass(), 3u);
-  // Second pass resets all parts.
-  EXPECT_EQ(drain(both).size(), 3u);
-}
-
-TEST(DuplicateStream, RepeatsEachEdge) {
-  VectorStream base({{0, 1}, {1, 2}});
-  DuplicateStream doubled(&base, 3);
-  EXPECT_EQ(drain(doubled),
-            (std::vector<Edge>{{0, 1}, {0, 1}, {0, 1}, {1, 2}, {1, 2}, {1, 2}}));
-  EXPECT_EQ(doubled.edges_per_pass(), 6u);
-}
-
-TEST(Transforms, ComposeIntoPipelines) {
-  const GeneratedInstance gen = make_uniform(30, 1000, 30, 9);
-  VectorStream base(ordered_edges(gen.graph, ArrivalOrder::kRandom, 5));
-  SampleStream sampled(&base, 0.5, 13);
-  FilterStream evens(&sampled, [](const Edge& e) { return e.elem % 2 == 0; });
-  LimitStream limited(&evens, 50);
-  const auto edges = drain(limited);
-  EXPECT_LE(edges.size(), 50u);
-  for (const Edge& edge : edges) EXPECT_EQ(edge.elem % 2, 0u);
 }
 
 }  // namespace

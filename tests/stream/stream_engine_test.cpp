@@ -115,27 +115,6 @@ TEST(StreamEngine, FilterAppliedOncePerChunkBeforeDelivery) {
   EXPECT_EQ(stats.edges_kept, expected.size());
 }
 
-TEST(StreamEngine, ReplicatedBroadcastsEveryEdgeToEveryShard) {
-  // Direct coverage for the replicated shape (the ladder consumes via run()
-  // since the batched-admission rework): every shard must see the whole
-  // pass in arrival order, serial or pooled.
-  const auto edges = test_edges(20, 500, 9);
-  ThreadPool pool(3);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    VectorStream stream(edges);
-    const StreamEngine engine({64, p});
-    std::vector<std::vector<Edge>> seen(3);
-    const auto stats = engine.run_replicated(
-        stream, {}, seen.size(), [&](std::size_t s, std::span<const Edge> chunk) {
-          seen[s].insert(seen[s].end(), chunk.begin(), chunk.end());
-        });
-    for (std::size_t s = 0; s < seen.size(); ++s) {
-      EXPECT_EQ(seen[s], edges) << "shard " << s << (p ? " pooled" : " serial");
-    }
-    EXPECT_EQ(stats.edges_kept, edges.size());
-  }
-}
-
 TEST(StreamEngine, EmptyStreamDeliversNothing) {
   VectorStream stream({});
   const StreamEngine engine;

@@ -6,20 +6,23 @@ drives it the way a real
 deployment gets hit — several concurrent populations at once:
 
   * protocol clients walking the whole surface — create, ingest, estimate,
-    solve, evict (with transparent reload), stats, tenants;
+    solve, evict (with transparent reload), stats, tenants — plus one
+    `ingest` with an out-of-range set id, which must come back `err set id`
+    and admit nothing while the server keeps serving;
   * a couple hundred idle connections that connect and never send (the epoll
     reactor must park them for free — they'd each have pinned a pool thread
     under the old thread-per-connection dispatch);
   * pipelined clients writing whole request batches in one send() and
     requiring every response line back in order (the reactor's per-tenant
-    coalescing path, exercised through the shipped binary);
+    coalescing path, exercised through the shipped binary), with one
+    out-of-range line inside a same-tenant ingest run that must fail alone;
   * abrupt closers that disconnect mid-request without reading.
 
 The server runs with the reactor flags (--max-connections,
 --batch-window-us) exercised, reports the new counters on `stats`, and must
 drain everything — idle connections included — into a clean exit 0 on
 `shutdown`. Every response is checked against docs/PROTOCOL.md prefixes; any
-`err` (or a hung server) fails the script. CI runs this after the unit
+unexpected `err` (or a hung server) fails the script. CI runs this after the unit
 suites: the gtest layer exercises NetServer in-process, this exercises the
 shipped binary end to end, exactly as an operator would.
 
@@ -94,6 +97,10 @@ def client_session(port, idx, failures):
                 f"{(round_no * 17 + i * 5 + idx) % 48} {(round_no * 97 + i) % 1024}"
                 for i in range(16))
             c.expect(f"ingest {name} {pairs}", "ok ingested 16")
+            if round_no == 2:
+                # Set 48 is outside the tenant's universe: the whole line is
+                # refused (its good pair too), and the server survives it.
+                c.expect(f"ingest {name} 1 5 48 6", "err set id")
             c.expect(f"estimate {name} 1,5,17", "ok estimate ")
             if round_no % 3 == 0:
                 c.expect(f"solve {name} 3", "ok solve ")
@@ -121,6 +128,7 @@ def pipelined_session(port, idx, failures):
         name = f"pipe{idx}"
         c.expect(f"create {name} 48 4 0.3", f"ok created {name}")
         batch = (f"ingest {name} 1 10 2 20\n"
+                 f"ingest {name} 48 7 2 21\n"
                  f"ingest {name} 3 30\n"
                  f"ingest {name} 4 40 4 41\n"
                  f"estimate {name} 1,2\n"
@@ -128,12 +136,15 @@ def pipelined_session(port, idx, failures):
                  f"estimate {name} 1,2,3,4\n"
                  f"ping\n")
         c.sock.sendall(batch.encode())
-        for want in ["ok ingested 2", "ok ingested 1", "ok ingested 2",
+        for want in ["ok ingested 2", "err set id", "ok ingested 1",
+                     "ok ingested 2",
                      "ok estimate ", "ok estimate ", "ok estimate ",
                      "ok pong"]:
             got = c.read_line()
             assert got.startswith(want), (
                 f"pipelined client {idx}: expected {want!r}..., got {got!r}")
+        stats = c.expect(f"stats {name}", f"ok tenant {name} ")
+        assert " edges=5 " in stats, stats  # nothing of the refused line
         c.expect("quit", "ok bye")
         c.close()
     except Exception as exc:  # noqa: BLE001
