@@ -31,18 +31,24 @@ SketchParams StreamingOptions::sketch_params(SetId num_sets, std::uint32_t k,
   return params;
 }
 
-KCoverResult kcover_with_solver(const SubsampleSketch& sketch,
-                                const SketchView& view, Solver& solver,
-                                std::uint32_t k) {
+KCoverResult kcover_on_view(const SketchView& view, Solver& solver,
+                            std::uint32_t k) {
   const GreedyResult greedy = solver.max_cover(k);
   KCoverResult result;
   result.solver_space_words = solver.space_words();
   result.solution = greedy.solution;
   result.estimated_coverage =
       view.p_star > 0.0 ? static_cast<double>(greedy.covered) / view.p_star : 0.0;
-  result.sketch_retained = sketch.retained_elements();
-  result.sketch_edges = sketch.stored_edges();
+  result.sketch_retained = view.num_retained;
+  result.sketch_edges = view.num_edges();
   result.p_star = view.p_star;
+  return result;
+}
+
+KCoverResult kcover_with_solver(const SubsampleSketch& sketch,
+                                const SketchView& view, Solver& solver,
+                                std::uint32_t k) {
+  KCoverResult result = kcover_on_view(view, solver, k);
   result.space_words = sketch.peak_space_words();
   result.final_space_words = sketch.space_words();
   return result;

@@ -73,10 +73,16 @@ KCoverResult kcover_on_sketch(const SubsampleSketch& sketch, std::uint32_t k,
                               ThreadPool* pool = nullptr);
 
 /// The solve + result assembly of kcover_on_sketch for callers that keep a
-/// warm Solver over one view across queries (each fleet handle carries
-/// one). `view` must be `solver`'s view and `sketch` its owner.
+/// warm Solver over one view across queries. `view` must be `solver`'s view
+/// and `sketch` its owner.
 KCoverResult kcover_with_solver(const SubsampleSketch& sketch,
                                 const SketchView& view, Solver& solver,
                                 std::uint32_t k);
+
+/// The same from the view alone, for holders of a view without its sketch
+/// (each fleet handle): every field but the sketch's space words
+/// (`space_words`, `final_space_words`), which the caller fills in.
+KCoverResult kcover_on_view(const SketchView& view, Solver& solver,
+                            std::uint32_t k);
 
 }  // namespace covstream

@@ -4,6 +4,7 @@
 
 #include "hash/simd/kernels.hpp"
 #include "stream/stream_engine.hpp"
+#include "util/space_meter.hpp"
 
 namespace covstream {
 
@@ -21,6 +22,10 @@ std::size_t SketchView::neighborhood_size(std::span<const SetId> family) const {
 double SketchView::estimate_coverage(std::span<const SetId> family) const {
   COVSTREAM_CHECK(p_star > 0.0);
   return static_cast<double>(neighborhood_size(family)) / p_star;
+}
+
+std::size_t SketchView::space_words() const {
+  return set_offsets.size() + words_for_u32(set_slots.size());
 }
 
 SubsampleSketch::SubsampleSketch(SketchParams params)

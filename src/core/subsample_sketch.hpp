@@ -59,8 +59,13 @@ struct SketchView {
   /// |Gamma(sketch, family)|: retained elements touched by the family.
   std::size_t neighborhood_size(std::span<const SetId> family) const;
 
-  /// Coverage estimate |Gamma(sketch, family)| / p* (Lemma 2.2 form).
+  /// Coverage estimate |Gamma(sketch, family)| / p* (Lemma 2.2 form); equal,
+  /// bit for bit, to SubsampleSketch::estimate_coverage on the viewed sketch.
   double estimate_coverage(std::span<const SetId> family) const;
+
+  /// Footprint in 8-byte words (DESIGN.md §5.2): the offsets plus the
+  /// packed slot column.
+  std::size_t space_words() const;
 };
 
 class SubsampleSketch {

@@ -56,9 +56,15 @@ bool run_file_pass(SketchFleet& fleet, const std::string& tenant,
                    EdgeStream& stream, FilePass& pass, std::string* error) {
   pass.edges.store(pass.resume != nullptr ? pass.resume->edges_kept : 0,
                    std::memory_order_relaxed);
+  bool admit_failed = false;
   const auto write_checkpoint = [&](const StreamEngine::ResumePoint& point) {
-    // ingest() publishes before it returns, so the tenant's handle is its
-    // state at this chunk boundary; saving it needs no copy.
+    // The engine offers the boundary after a refused chunk too; its resume
+    // point counts that chunk, so saving it would skip the chunk on resume
+    // and overwrite the last good checkpoint.
+    if (admit_failed) return;
+    // handle() copies the tenant's sketch under its work mutex — every chunk
+    // admitted up to this boundary — and the copy is written with no lock
+    // held.
     std::string why;
     const std::shared_ptr<const SubsampleSketch> sketch =
         fleet.handle(tenant, &why);
@@ -68,7 +74,6 @@ bool run_file_pass(SketchFleet& fleet, const std::string& tenant,
       COVSTREAM_WARN("file pass: checkpoint failed: " + why);
     }
   };
-  bool admit_failed = false;
   StreamEngine::CheckpointOptions durable;
   if (!pass.checkpoint_path.empty()) {
     durable.every_chunks = pass.checkpoint_every;

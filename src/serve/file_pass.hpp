@@ -3,11 +3,13 @@
 // The paper's sketch answers coverage queries from O~(n) words while the
 // stream is still arriving. run_file_pass feeds one resumable StreamEngine
 // pass into a SketchFleet tenant: every chunk is admitted with
-// SketchFleet::ingest, so the fleet publishes an immutable handle per chunk
+// SketchFleet::ingest, which bumps the tenant's version and copies nothing,
 // and every reader — a stdin line, a TCP connection, an embedding thread —
-// answers through the fleet while the pass runs. Publication, warm solvers
-// and the wire grammar are the fleet's; this file adds only the pass and
-// its recovery point.
+// answers through the fleet while the pass runs, from a view of the chunks
+// admitted so far that the version's first read builds. Publication, warm
+// solvers and the wire grammar are the fleet's; this file adds only the
+// pass and its recovery point. It is the one file-ingest path: the CLI's
+// `ingest` and the stdin `serve` transport both run it.
 //
 // With a checkpoint path set, an IngestCheckpoint (the tenant's sketch plus
 // the StreamEngine::ResumePoint of the chunk boundary it was taken at, one
@@ -59,8 +61,8 @@ bool save_ingest_checkpoint(const StreamEngine::ResumePoint& resume,
 /// boundaries. Other threads may set `stop` and read the counters while
 /// run_file_pass runs.
 struct FilePass {
-  /// Engine chunk size (0 = engine default); the fleet publishes once per
-  /// chunk, so this also bounds how stale a reader's handle can be.
+  /// Engine chunk size (0 = engine default); each chunk is one tenant
+  /// version, so this also sets how far a reader can trail the pass.
   std::size_t batch_edges = 0;
   /// Continue a checkpointed pass: the tenant must already hold the
   /// checkpoint's sketch (SketchFleet::adopt). Null starts at the head.
@@ -81,8 +83,10 @@ struct FilePass {
 
 /// Runs `pass` over `stream` into fleet tenant `tenant` until the stream
 /// ends or `pass.stop` is set. The tenant must exist. Returns false (with
-/// *error) when an admission failed — the tenant was dropped, or the fleet
-/// is degraded — and the pass ended at that chunk.
+/// *error) when an admission failed — a set id outside the tenant's
+/// universe, the tenant was dropped, or the fleet is degraded — and the pass
+/// ended at that chunk; the checkpoint on disk is then the last one taken
+/// before it.
 bool run_file_pass(SketchFleet& fleet, const std::string& tenant,
                    EdgeStream& stream, FilePass& pass, std::string* error);
 

@@ -379,9 +379,10 @@ FleetBatchResult execute_fleet_batch(SketchFleet& fleet,
     evaluate_dispatch_failpoint();
 
     // Same-tenant estimate run: every member answers from ONE acquired
-    // handle (one reload check, one pointer grab) instead of re-acquiring
-    // per request. All members read the same published version — a legal
-    // linearization, since the protocol orders only within a connection.
+    // handle (one reload check, at most one view build, one pointer grab)
+    // instead of re-acquiring per request. All members read the same
+    // published version — a legal linearization, since the protocol orders
+    // only within a connection.
     std::vector<SetId> family;
     if (parse_estimate_line(line, &tenant, &family)) {
       std::vector<std::vector<SetId>> families;
@@ -429,8 +430,8 @@ FleetBatchResult execute_fleet_batch(SketchFleet& fleet,
     }
 
     // Same-tenant ingest run: the edges of every member fold into ONE
-    // update_chunk admission batch (one reload check, one publish, one
-    // version bump — PROTOCOL.md documents the per-admitted-batch version
+    // update_chunk admission batch (one reload check, one version bump —
+    // PROTOCOL.md documents the per-admitted-batch version
     // semantics), feeding the chunk-shaped AVX2 admit kernels their
     // preferred large chunks. Responses stay one `ok ingested <n>` per
     // line with that line's own edge count.

@@ -23,8 +23,8 @@
 // tenant coalesce (DESIGN.md §5.15): runs of `estimate` lines execute
 // against a single acquired handle via SketchFleet::estimate_batch, and runs
 // of `ingest` lines fold their edges into one admission chunk (one
-// update_chunk call, one publish). Responses are still one line per request,
-// in order — the wire grammar is unchanged.
+// update_chunk call, one version bump). Responses are still one line per
+// request, in order — the wire grammar is unchanged.
 //
 // The request handler itself (handle_fleet_request) is a pure function from
 // a request line to a response line, exposed separately so the serve_qps

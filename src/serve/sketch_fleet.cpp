@@ -40,15 +40,15 @@ bool check_set(SetId set, SetId num_sets, std::string* error) {
                               std::to_string(num_sets) + ")");
 }
 
-/// One family's estimate on a published sketch, or nullopt + *error when a
+/// One family's estimate on a published view, or nullopt + *error when a
 /// set id is out of range.
-std::optional<double> estimate_on(const SubsampleSketch& sketch,
+std::optional<double> estimate_on(const SketchView& view,
                                   std::span<const SetId> family,
                                   std::string* error) {
   for (const SetId s : family) {
-    if (!check_set(s, sketch.params().num_sets, error)) return std::nullopt;
+    if (!check_set(s, view.num_sets, error)) return std::nullopt;
   }
-  return sketch.estimate_coverage(family);
+  return view.estimate_coverage(family);
 }
 
 std::int64_t steady_now_ms() {
@@ -216,7 +216,6 @@ void SketchFleet::boot_scan() {
       } else {
         // Listed but never flushed: its durable state IS empty-at-params.
         tenant->live.emplace(entry.params);
-        publish(*tenant);
         ++boot_report_.recreated_empty;
       }
       {
@@ -254,7 +253,6 @@ void SketchFleet::boot_scan() {
       tenant->version = 1;
       tenant->durable_version = 1;
       tenant->live.emplace(std::move(*loaded));
-      publish(*tenant);
       {
         const std::lock_guard<std::mutex> lock(registry_mutex_);
         tenants_.emplace(*name, tenant);
@@ -416,13 +414,27 @@ std::shared_ptr<SketchFleet::Tenant> SketchFleet::find(const std::string& name,
 
 void SketchFleet::publish(Tenant& tenant) {
   auto fresh = std::make_shared<Published>(*tenant.live);
+  const std::lock_guard<std::mutex> lock(tenant.handle_mutex);
+  tenant.handle = std::move(fresh);
+}
+
+std::shared_ptr<SketchFleet::Published> SketchFleet::unpublish(Tenant& tenant) {
+  const std::lock_guard<std::mutex> lock(tenant.handle_mutex);
+  return std::move(tenant.handle);
+}
+
+template <typename Fn>
+bool SketchFleet::with_resident(Tenant& tenant, std::string* error, Fn&& fn) {
   {
-    const std::lock_guard<std::mutex> lock(tenant.handle_mutex);
-    tenant.handle.swap(fresh);
+    const std::lock_guard<std::mutex> work(tenant.work);
+    if (!tenant.resident.load(std::memory_order_relaxed) &&
+        !reload(tenant, error)) {
+      return false;
+    }
+    fn();
   }
-  // `fresh` now holds the previous version; it (and its warm solver, if a
-  // solve built one) is freed here, outside the lock, unless a reader still
-  // holds it.
+  enforce_budget(&tenant);
+  return true;
 }
 
 std::shared_ptr<SketchFleet::Published> SketchFleet::acquire(
@@ -433,20 +445,19 @@ std::shared_ptr<SketchFleet::Published> SketchFleet::acquire(
     const std::lock_guard<std::mutex> lock(tenant->handle_mutex);
     if (tenant->handle != nullptr) return tenant->handle;
   }
+  // The version's first read: build its view under work. Readers that queued
+  // behind us find it built. Every handle writer holds work, which we hold,
+  // so the handle taken here is current and ours before any ingest, spill
+  // or drop can run.
   std::shared_ptr<Published> handle;
-  {
-    const std::lock_guard<std::mutex> work(tenant->work);
-    if (!tenant->resident.load(std::memory_order_relaxed) &&
-        !reload(*tenant, error)) {
-      return nullptr;
+  const bool resident = with_resident(*tenant, error, [&] {
+    if (tenant->handle == nullptr) {
+      publish(*tenant);
+      reaccount(*tenant);
     }
-    // Every handle writer holds work, which we hold: this is the handle the
-    // reload (or a racing reader's) just published, and it is ours before
-    // any spill can run.
     handle = tenant->handle;
-  }
-  enforce_budget(tenant.get());
-  return handle;
+  });
+  return resident ? handle : nullptr;
 }
 
 void SketchFleet::reaccount(Tenant& tenant) {
@@ -454,7 +465,7 @@ void SketchFleet::reaccount(Tenant& tenant) {
   if (tenant.live.has_value()) words += tenant.live->space_words();
   // Safe to read without handle_mutex: every handle writer holds work, which
   // the caller holds.
-  if (tenant.handle != nullptr) words += tenant.handle->sketch.space_words();
+  if (tenant.handle != nullptr) words += tenant.handle->view.space_words();
   const std::lock_guard<std::mutex> lock(registry_mutex_);
   resident_words_ += words;
   resident_words_ -= tenant.accounted_words;
@@ -475,10 +486,7 @@ bool SketchFleet::spill(Tenant& tenant, std::string* error) {
   }
   tenant.durable_version = tenant.version;
   tenant.live.reset();
-  {
-    const std::lock_guard<std::mutex> lock(tenant.handle_mutex);
-    tenant.handle.reset();
-  }
+  unpublish(tenant);
   tenant.resident.store(false, std::memory_order_relaxed);
   reaccount(tenant);
   {
@@ -498,7 +506,6 @@ bool SketchFleet::reload(Tenant& tenant, std::string* error) {
   tenant.live.emplace(std::move(*loaded));
   tenant.durable_version = tenant.version;  // live == disk right now
   tenant.resident.store(true, std::memory_order_relaxed);
-  publish(tenant);
   reaccount(tenant);
   {
     const std::lock_guard<std::mutex> lock(registry_mutex_);
@@ -518,25 +525,27 @@ void SketchFleet::enforce_budget(const Tenant* exclude) {
   bool spill_failed = false;
   std::string last_spill_error;
   for (;;) {
-    std::vector<std::shared_ptr<Tenant>> candidates;
+    // Each candidate with its last-access tick, read once: other threads
+    // touch tenants while we sort, and a comparator reading the live ticks
+    // would break std::sort's ordering contract (it can then run off the
+    // range).
+    std::vector<std::pair<std::uint64_t, std::shared_ptr<Tenant>>> candidates;
     {
       const std::lock_guard<std::mutex> lock(registry_mutex_);
       if (resident_words_ <= options_.memory_budget_words) break;
       for (const auto& [name, tenant] : tenants_) {
         if (tenant.get() == exclude) continue;
         if (!tenant->resident.load(std::memory_order_relaxed)) continue;
-        candidates.push_back(tenant);
+        candidates.emplace_back(
+            tenant->last_access.load(std::memory_order_relaxed), tenant);
       }
     }
     // Coldest first: evict in last-access order until within budget.
     std::sort(candidates.begin(), candidates.end(),
-              [](const auto& a, const auto& b) {
-                return a->last_access.load(std::memory_order_relaxed) <
-                       b->last_access.load(std::memory_order_relaxed);
-              });
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     bool evicted_any = false;
     bool within_budget = false;
-    for (const auto& tenant : candidates) {
+    for (const auto& [tick, tenant] : candidates) {
       {
         const std::lock_guard<std::mutex> lock(registry_mutex_);
         if (resident_words_ <= options_.memory_budget_words) {
@@ -605,7 +614,6 @@ bool SketchFleet::register_tenant(const std::string& name,
   tenant->live.emplace(std::move(sketch));
   tenant->version = 1;
   tenant->edges_ingested = edges_ingested;
-  publish(*tenant);
   {
     const std::lock_guard<std::mutex> lock(registry_mutex_);
     if (!tenants_.try_emplace(name, tenant).second) {
@@ -651,29 +659,29 @@ bool SketchFleet::ingest(const std::string& name, std::span<const Edge> edges,
   for (const Edge& edge : edges) {
     if (!check_set(edge.set, tenant->params.num_sets, error)) return false;
   }
-  {
-    const std::lock_guard<std::mutex> work(tenant->work);
-    if (!tenant->resident.load(std::memory_order_relaxed) &&
-        !reload(*tenant, error)) {
-      return false;
-    }
+  // The old version's handle, freed when this returns — outside work —
+  // unless a reader still holds it. Once the handle is down, the next read
+  // builds the new version's view, so the write is visible to every read
+  // that starts after this returns.
+  std::shared_ptr<Published> retired;
+  return with_resident(*tenant, error, [&] {
     tenant->live->update_chunk(edges);
     tenant->edges_ingested += edges.size();
     ++tenant->version;
-    publish(*tenant);
+    retired = unpublish(*tenant);
     reaccount(*tenant);
-  }
-  enforce_budget(tenant.get());
-  return true;
+  });
 }
 
 std::shared_ptr<const SubsampleSketch> SketchFleet::handle(
     const std::string& name, std::string* error) {
-  std::shared_ptr<Published> published = acquire(name, error);
-  if (published == nullptr) return nullptr;
-  // Aliasing constructor: the sketch pointer keeps the whole handle alive.
-  const SubsampleSketch* sketch = &published->sketch;
-  return {std::move(published), sketch};
+  const std::shared_ptr<Tenant> tenant = find(name, error);
+  if (tenant == nullptr) return nullptr;
+  std::shared_ptr<const SubsampleSketch> copy;
+  const bool resident = with_resident(*tenant, error, [&] {
+    copy = std::make_shared<const SubsampleSketch>(*tenant->live);
+  });
+  return resident ? copy : nullptr;
 }
 
 std::optional<double> SketchFleet::estimate(const std::string& name,
@@ -681,7 +689,7 @@ std::optional<double> SketchFleet::estimate(const std::string& name,
                                             std::string* error) {
   const std::shared_ptr<Published> published = acquire(name, error);
   if (published == nullptr) return std::nullopt;
-  return estimate_on(published->sketch, family, error);
+  return estimate_on(published->view, family, error);
 }
 
 bool SketchFleet::estimate_batch(const std::string& name,
@@ -689,15 +697,16 @@ bool SketchFleet::estimate_batch(const std::string& name,
                                  std::vector<EstimateOutcome>* out,
                                  std::string* error) {
   out->clear();
-  // One handle grab for the whole run: the reload-if-evicted check and the
-  // handle_mutex pointer copy amortize over every family, and all members
-  // answer from the same immutable published version.
+  // One handle grab for the whole run: the reload-if-evicted check, the
+  // view build (if this is the version's first read) and the handle_mutex
+  // pointer copy amortize over every family, and all members answer from
+  // the same immutable published version.
   const std::shared_ptr<Published> published = acquire(name, error);
   if (published == nullptr) return false;
   out->reserve(families.size());
   for (const std::vector<SetId>& family : families) {
     EstimateOutcome outcome;
-    outcome.value = estimate_on(published->sketch, family, &outcome.error);
+    outcome.value = estimate_on(published->view, family, &outcome.error);
     out->push_back(std::move(outcome));
   }
   {
@@ -722,24 +731,23 @@ std::optional<KCoverResult> SketchFleet::solve(const std::string& name,
   // solver every later solve of the version reuses.
   const std::lock_guard<std::mutex> solve(published->solve_mutex);
   const bool warm = published->solver.has_value();
-  if (!warm) {
-    published->view = published->sketch.view();
-    published->solver.emplace(published->view);
-  }
+  if (!warm) published->solver.emplace(published->view);
   {
     const std::lock_guard<std::mutex> lock(registry_mutex_);
     ++(warm ? cache_hits_ : cache_misses_);
   }
-  return kcover_with_solver(published->sketch, published->view,
-                            *published->solver, k);
+  KCoverResult result = kcover_on_view(published->view, *published->solver, k);
+  result.space_words = published->sketch_peak_words;
+  result.final_space_words = published->sketch_words;
+  return result;
 }
 
 bool SketchFleet::save(const std::string& name, const std::string& path,
                        std::string* error) {
-  const std::shared_ptr<Published> published = acquire(name, error);
-  if (published == nullptr) return false;
+  const std::shared_ptr<const SubsampleSketch> sketch = handle(name, error);
+  if (sketch == nullptr) return false;
   std::string io_error;
-  if (!save_snapshot(published->sketch, path, &io_error)) {
+  if (!save_snapshot(*sketch, path, &io_error)) {
     return set_error(error, "save failed: " + io_error);
   }
   return true;
@@ -754,25 +762,43 @@ bool SketchFleet::evict(const std::string& name, std::string* error) {
 }
 
 bool SketchFleet::drop(const std::string& name, std::string* error) {
-  std::shared_ptr<Tenant> tenant;
-  {
-    const std::lock_guard<std::mutex> lock(registry_mutex_);
-    const auto it = tenants_.find(name);
-    if (it == tenants_.end()) {
-      return set_error(error, "unknown tenant '" + name + "'");
-    }
-    tenant = it->second;
-    tenants_.erase(it);
-  }
-  // Free the detached tenant's memory. A concurrent operation that already
-  // holds the shared_ptr finishes against the old state — harmless.
+  return unregister(name, nullptr, error);
+}
+
+std::optional<SubsampleSketch> SketchFleet::take(const std::string& name,
+                                                 std::string* error) {
+  std::optional<SubsampleSketch> sketch;
+  if (!unregister(name, &sketch, error)) return std::nullopt;
+  return sketch;
+}
+
+bool SketchFleet::unregister(const std::string& name,
+                             std::optional<SubsampleSketch>* keep,
+                             std::string* error) {
+  const std::shared_ptr<Tenant> tenant = find(name, error);
+  if (tenant == nullptr) return false;
   {
     const std::lock_guard<std::mutex> work(tenant->work);
-    tenant->live.reset();
-    {
-      const std::lock_guard<std::mutex> lock(tenant->handle_mutex);
-      tenant->handle.reset();
+    // A kept sketch must be resident; a failed reload leaves the tenant
+    // registered.
+    if (keep != nullptr && !tenant->resident.load(std::memory_order_relaxed) &&
+        !reload(*tenant, error)) {
+      return false;
     }
+    {
+      const std::lock_guard<std::mutex> lock(registry_mutex_);
+      const auto it = tenants_.find(name);
+      if (it == tenants_.end() || it->second != tenant) {
+        return set_error(error, "unknown tenant '" + name + "'");
+      }
+      tenants_.erase(it);
+    }
+    // Free (or hand over) the detached tenant's memory. A concurrent
+    // operation that already holds the shared_ptr finishes against the old
+    // state — harmless.
+    if (keep != nullptr) *keep = std::move(tenant->live);
+    tenant->live.reset();
+    unpublish(*tenant);
     tenant->resident.store(false, std::memory_order_relaxed);
     reaccount(*tenant);
     if (!tenant->spill_path.empty()) {
@@ -782,7 +808,7 @@ bool SketchFleet::drop(const std::string& name, std::string* error) {
   if (options_.persistent) {
     // Best-effort: a manifest that cannot shrink leaves a stale roster
     // entry whose spill file is gone — the next boot recreates it empty or
-    // the next successful manifest write removes it. Dropping remains
+    // the next successful manifest write removes it. Removing remains
     // in-memory-successful either way.
     std::string manifest_error;
     if (!write_manifest(&manifest_error)) {

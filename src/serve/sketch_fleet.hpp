@@ -1,15 +1,19 @@
 // Multi-tenant sketch fleet: many named sketches behind one registry, one
-// memory budget, and one published handle per tenant (DESIGN.md §5.12).
+// memory budget, and at most one published view per tenant (DESIGN.md
+// §5.12).
 //
 // The paper's sketches are O~(n) words each, which is what makes a FLEET of
 // them viable: thousands of live tenants fit one machine as long as somebody
 // arbitrates the total. SketchFleet is that somebody:
 //
-//   * every tenant is a named sketch published copy-on-write — a live
-//     sketch mutated only under the tenant's work mutex, and an immutable
-//     handle republished after every ingest batch. Reads grab the handle
-//     under a pointer-swap-only mutex and compute outside all locks, so
-//     estimates never block admits and never observe a mutating sketch;
+//   * every tenant is a named live sketch, mutated only under the tenant's
+//     work mutex, plus at most one published handle: the immutable
+//     SketchView of one version. An ingest admits its batch, bumps the
+//     version and drops the handle — it copies nothing. The first read of
+//     the new version builds its view from the live sketch under work and
+//     publishes it; every later read of that version grabs the handle under
+//     a pointer-swap-only mutex and computes outside all locks, so it never
+//     blocks and never observes a mutating sketch;
 //   * a fleet-wide memory budget (Options::memory_budget_words) is enforced
 //     after every footprint-growing operation: while over budget, the
 //     least-recently-used resident tenant is evicted — serialized to a
@@ -19,13 +23,14 @@
 //     (DESIGN.md §5.9), so an evicted-then-reloaded tenant answers every
 //     estimate and solve exactly like a never-evicted one (pinned by
 //     tests/serve/fleet_test.cpp);
-//   * the handle is the tenant's only read state: the first solve of a
-//     version builds its SketchView and warm Solver (CoverageIndex +
-//     GreedyScratch, DESIGN.md §5.10) on the handle, and later solves of
-//     that version reuse them. The solver is freed with its handle — on the
-//     next ingest, eviction or drop — so there is at most one per live
-//     handle. Two tenants solve in parallel, two solves of one version
-//     queue behind each other, and nobody ever blocks an admit.
+//   * the handle is the tenant's only read state: estimates count the
+//     view's set->slot CSR, and the first solve of a version builds a warm
+//     Solver (CoverageIndex + GreedyScratch, DESIGN.md §5.10) on the same
+//     view, which later solves of that version reuse. View and solver are
+//     freed with their handle — on the next ingest, eviction or drop — so
+//     there is at most one of each per tenant. Two tenants solve in
+//     parallel, two solves of one version queue behind each other, and no
+//     solve blocks an admit.
 //
 // Lock order (deadlock freedom): registry_mutex_ and a tenant's work mutex
 // may both be held only in the order work-then-registry (accounting updates)
@@ -58,7 +63,7 @@ class SketchFleet {
  public:
   struct Options {
     /// Total resident sketch footprint allowed across tenants, in 8-byte
-    /// words (live sketch + published handle per resident tenant). 0 means
+    /// words (live sketch + published view per resident tenant). 0 means
     /// unlimited — no eviction ever happens.
     std::size_t memory_budget_words = 0;
     /// Directory for eviction spill files (created on demand). Required when
@@ -94,15 +99,17 @@ class SketchFleet {
   bool adopt(const std::string& name, SubsampleSketch&& sketch,
              std::uint64_t edges_ingested, std::string* error);
 
-  /// Applies one edge batch to the tenant's live sketch and republishes its
-  /// immutable handle (version + 1). Reloads an evicted tenant first. A set
-  /// id outside the tenant's universe rejects the whole batch before
+  /// Applies one edge batch to the tenant's live sketch, bumps its version
+  /// and drops its handle, so the next read builds the new version's view
+  /// (read-your-writes). Copies nothing. Reloads an evicted tenant first. A
+  /// set id outside the tenant's universe rejects the whole batch before
   /// anything is admitted.
   bool ingest(const std::string& name, std::span<const Edge> edges,
               std::string* error);
 
-  /// Coverage estimate from the tenant's current published handle. Never
-  /// blocks ingestion (handle grab is a pointer copy); set ids outside the
+  /// Coverage estimate from the view of the tenant's current version. The
+  /// version's first read builds that view under the work mutex; later
+  /// reads grab it with a pointer copy and never block. Set ids outside the
   /// tenant's universe are an error.
   std::optional<double> estimate(const std::string& name,
                                  std::span<const SetId> family,
@@ -117,22 +124,24 @@ class SketchFleet {
 
   /// Answers many coverage estimates for one tenant from ONE acquired handle
   /// — the amortization the front door's per-tenant request coalescing rides
-  /// on (DESIGN.md §5.15): one reload check and one handle_mutex pointer
-  /// grab however long the pipelined run is, and every member reads the
-  /// same published version. Returns false (with *error) only when the
-  /// whole batch fails — unknown tenant or failed reload; otherwise *out
-  /// has exactly families.size() entries, each either a value or the
-  /// per-family range error, byte-identical to serial estimate() calls.
+  /// on (DESIGN.md §5.15): one reload check, at most one view build and one
+  /// handle_mutex pointer grab however long the pipelined run is, and every
+  /// member reads the same published version. Returns false (with *error)
+  /// only when the whole batch fails — unknown tenant or failed reload;
+  /// otherwise *out has exactly families.size() entries, each either a
+  /// value or the per-family range error, byte-identical to serial
+  /// estimate() calls.
   bool estimate_batch(const std::string& name,
                       std::span<const std::vector<SetId>> families,
                       std::vector<EstimateOutcome>* out, std::string* error);
 
-  /// Greedy max-k-cover on the current published handle, through the warm
-  /// solver that handle carries (built by its version's first solve).
+  /// Greedy max-k-cover on the current version's view, through the warm
+  /// solver its handle carries (built by the version's first solve).
   std::optional<KCoverResult> solve(const std::string& name, std::uint32_t k,
                                     std::string* error);
 
-  /// Saves the tenant's current published handle as a sketch snapshot file.
+  /// Saves the tenant's current sketch as a snapshot file: a copy taken
+  /// under the work mutex (handle()), written with no lock held.
   bool save(const std::string& name, const std::string& path,
             std::string* error);
 
@@ -145,9 +154,17 @@ class SketchFleet {
   /// included, once in-flight reads let go) and deleting its spill file.
   bool drop(const std::string& name, std::string* error);
 
-  /// The sketch of the tenant's current published handle (reloads if
-  /// evicted); null + *error on unknown tenants. The pointer shares the
-  /// handle's lifetime. Exposed for embedding and the equality tests.
+  /// drop() that hands back the tenant's live sketch (reloaded first if
+  /// evicted) instead of freeing it — the inverse of adopt(). A caller done
+  /// with the tenant keeps the sketch without copying it, as the CLI's
+  /// ingest does with the sketch its file pass built.
+  std::optional<SubsampleSketch> take(const std::string& name,
+                                      std::string* error);
+
+  /// A copy of the tenant's live sketch, taken under its work mutex
+  /// (reloads if evicted); null + *error on unknown tenants. O(sketch): the
+  /// one place the fleet copies a sketch. Exposed for save, checkpoints,
+  /// embedding and the equality tests.
   std::shared_ptr<const SubsampleSketch> handle(const std::string& name,
                                                 std::string* error);
 
@@ -211,17 +228,23 @@ class SketchFleet {
   std::vector<std::string> tenant_names() const;
 
  private:
-  // One published version of a tenant: the immutable sketch copy publish()
-  // makes, plus the view and warm Solver its first solve builds. Readers
-  // hold it by shared_ptr, so a version's solver lives exactly as long as
-  // its handle. Destruction order matters: solver borrows view's CSR, so
-  // members are declared sketch, view, solver — destroyed solver-first.
+  // One published version of a tenant: the view its first read builds
+  // from the live sketch, the sketch's space words that solve reports and
+  // the view does not hold, and the warm Solver its first solve builds on
+  // the view. Readers hold it by shared_ptr, so a version's solver lives
+  // exactly as long as its handle. Destruction order matters: solver
+  // borrows view's CSR, so members are declared view, solver — destroyed
+  // solver-first.
   struct Published {
-    explicit Published(const SubsampleSketch& live) : sketch(live) {}
+    explicit Published(const SubsampleSketch& live)
+        : view(live.view()),
+          sketch_peak_words(live.peak_space_words()),
+          sketch_words(live.space_words()) {}
 
-    const SubsampleSketch sketch;
-    std::mutex solve_mutex;  // builds view + solver once; serializes solves
-    SketchView view;
+    const SketchView view;
+    const std::size_t sketch_peak_words;
+    const std::size_t sketch_words;
+    std::mutex solve_mutex;  // builds the solver once; serializes solves
     std::optional<Solver> solver;
   };
 
@@ -231,8 +254,8 @@ class SketchFleet {
     SketchParams params;
     std::string spill_path;
 
-    // work: serializes ingest / evict / reload / drop and the evicted-read
-    // reload in acquire().
+    // work: serializes ingest / evict / reload / drop, handle() copies and
+    // acquire()'s reload and view build.
     std::mutex work;
     std::optional<SubsampleSketch> live;
     std::uint64_t version = 0;
@@ -247,7 +270,9 @@ class SketchFleet {
     std::atomic<bool> resident{true};
 
     // handle_mutex: pointer swap only — the read fast path takes nothing
-    // else. Written only with work held; null exactly while not resident.
+    // else. Written only with work held. Null while not resident, and from
+    // an ingest until the next read builds that version's view; a non-null
+    // handle is always the current version.
     std::mutex handle_mutex;
     std::shared_ptr<Published> handle;
 
@@ -261,15 +286,31 @@ class SketchFleet {
   bool register_tenant(const std::string& name, SubsampleSketch&& sketch,
                        std::uint64_t edges_ingested, bool manifest_restores,
                        std::string* error);
-  /// Publishes a fresh immutable copy of `tenant->live` (work held).
+  /// Builds the view of `tenant.live` and publishes it as the tenant's
+  /// handle (work held).
   void publish(Tenant& tenant);
-  /// The tenant's current handle, the one path every read takes. Fast path:
-  /// a pointer copy under handle_mutex. An evicted tenant is reloaded and
-  /// its new handle taken while still holding work, which spill and drop
-  /// also need — so no eviction can slip between the two and no retry is
-  /// needed. Null + *error on unknown tenants and failed reloads.
+  /// Takes down the tenant's handle (work held) and returns it, so the
+  /// caller may free it — view and warm solver — outside the lock.
+  std::shared_ptr<Published> unpublish(Tenant& tenant);
+  /// Runs `fn()` under the tenant's work mutex with the tenant resident —
+  /// an evicted one is reloaded first — then enforces the budget with no
+  /// lock held. False + *error when the reload fails.
+  template <typename Fn>
+  bool with_resident(Tenant& tenant, std::string* error, Fn&& fn);
+  /// The tenant's current handle, the one path every view read (estimate,
+  /// estimate_batch, solve) takes. Fast path: a pointer copy under
+  /// handle_mutex. Without a handle (an evicted tenant, or a version nobody
+  /// has read yet) it takes work, reloads if evicted, builds and publishes
+  /// the view unless a racing reader already did, and takes the handle
+  /// while still holding work — which ingest, spill and drop also need, so
+  /// the handle is current and no retry is needed. Null + *error on
+  /// unknown tenants and failed reloads.
   std::shared_ptr<Published> acquire(const std::string& name,
                                      std::string* error);
+  /// drop() and take(): unregisters `name` and frees its state, moving the
+  /// live sketch into *keep first when `keep` is set.
+  bool unregister(const std::string& name, std::optional<SubsampleSketch>* keep,
+                  std::string* error);
   /// Reloads an evicted tenant from its spill file (work held).
   bool reload(Tenant& tenant, std::string* error);
   /// Serializes + frees a resident tenant (work held). False on I/O failure

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
 
 #include "core/params.hpp"
@@ -254,17 +255,65 @@ INSTANTIATE_TEST_SUITE_P(Budgets, SketchAccuracy,
                          ::testing::Values(1000, 4000, 16000));
 
 TEST(Sketch, ViewMatchesSketchState) {
-  const GeneratedInstance gen = make_uniform(30, 400, 12, 13);
-  SubsampleSketch sketch(base_params(30, 5, 250));
-  VectorStream stream(ordered_edges(gen.graph, ArrivalOrder::kRandom, 8));
-  sketch.consume(stream);
-  const SketchView view = sketch.view();
-  EXPECT_EQ(view.num_retained, sketch.retained_elements());
-  EXPECT_EQ(view.num_edges(), sketch.stored_edges());
-  EXPECT_DOUBLE_EQ(view.p_star, sketch.p_star());
-  // Coverage estimates agree between view and sketch paths.
-  const std::vector<SetId> family{2, 4, 8, 16};
-  EXPECT_DOUBLE_EQ(view.estimate_coverage(family), sketch.estimate_coverage(family));
+  // The fleet serves estimates from the view's set->slot CSR, so the view
+  // must answer exactly what the sketch's own scan answers — to the bit, on
+  // every family, in each regime the sketch can be in.
+  constexpr SetId kSets = 30;
+  const GeneratedInstance gen = make_uniform(kSets, 400, 60, 13);
+  SketchParams capped = base_params(kSets, 20, 1 << 20);
+  capped.eps = 0.5;
+  ASSERT_EQ(capped.degree_cap(), 3u);  // ceil(30 ln 2 / (0.5 * 20))
+  const auto clips_an_element = [&gen](const SubsampleSketch& sketch) {
+    for (ElemId e = 0; e < gen.graph.num_elems(); ++e) {
+      if (sketch.is_retained(e) &&
+          sketch.sets_of(e).size() < gen.graph.elem_degree(e)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  struct Regime {
+    const char* name;
+    SketchParams params;
+    std::function<bool(const SubsampleSketch&)> holds;
+  };
+  const Regime regimes[] = {
+      {"unsaturated", base_params(kSets, 5, 1 << 20),
+       [](const SubsampleSketch& s) {
+         return !s.saturated() && s.p_star() == 1.0;
+       }},
+      {"saturated", base_params(kSets, 5, 250),
+       [](const SubsampleSketch& s) {
+         return s.saturated() && s.p_star() < 1.0;
+       }},
+      {"degree cap binds", capped, clips_an_element},
+  };
+
+  // 200 families: the empty one, all sets, duplicate ids, and random draws
+  // (with repeats, since ids are drawn with replacement).
+  std::vector<std::vector<SetId>> families = {{}, {}, {4, 4, 4}, {7, 3, 7, 3}};
+  for (SetId s = 0; s < kSets; ++s) families[1].push_back(s);
+  Rng rng(0xFA3171E5);
+  while (families.size() < 200) {
+    std::vector<SetId> family(1 + rng.next_below(std::uint64_t{2 * kSets}));
+    for (SetId& set : family) set = rng.next_below(kSets);
+    families.push_back(std::move(family));
+  }
+
+  for (const Regime& regime : regimes) {
+    SCOPED_TRACE(regime.name);
+    SubsampleSketch sketch(regime.params);
+    VectorStream stream(ordered_edges(gen.graph, ArrivalOrder::kRandom, 8));
+    sketch.consume(stream);
+    ASSERT_TRUE(regime.holds(sketch));
+    const SketchView view = sketch.view();
+    EXPECT_EQ(view.num_retained, sketch.retained_elements());
+    EXPECT_EQ(view.num_edges(), sketch.stored_edges());
+    EXPECT_EQ(view.p_star, sketch.p_star());
+    for (const std::vector<SetId>& family : families) {
+      EXPECT_EQ(view.estimate_coverage(family), sketch.estimate_coverage(family));
+    }
+  }
 }
 
 TEST(Sketch, ViewNeighborhoodOfAllSetsIsAllRetained) {

@@ -4,14 +4,15 @@
 // sanitizer filters keep selecting it.
 //
 // The properties under test:
-//  * queries run WHILE the pass runs, against immutable handles — every
-//    handle a reader observes is internally consistent and never mutates
-//    after publication (a torn handle would trip the ASan/TSan CI legs or
+//  * queries run WHILE the pass runs — every answer comes from one
+//    version's immutable view, and a sketch handle() returns never mutates
+//    after it is taken (a torn read would trip the ASan/TSan CI legs or
 //    produce an impossible estimate);
 //  * the final handle equals a directly-built sketch bit-for-bit;
 //  * a stopped pass leaves a checkpoint that, adopted by a new fleet and
 //    resumed, equals the uninterrupted pass;
-//  * the fleet publishes once per admitted chunk.
+//  * each admitted chunk is one tenant version;
+//  * a refused chunk ends the pass and leaves the last good checkpoint.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -151,8 +152,8 @@ TEST(SketchServer, QueriesDuringIngestAndFinalEquality) {
 
   std::future<bool> done = start_pass(fleet, stream, pass);
   EXPECT_TRUE(done.get());
-  // The pass can outrun the reader on a fast machine; the final handle stays
-  // published, so let the reader land at least one query before stopping
+  // The pass can outrun the reader on a fast machine; the final version
+  // stays readable, so let the reader land at least one query before stopping
   // (under the sanitizer jobs the pass is slow enough that many of these
   // queries genuinely overlap it).
   while (queries.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
@@ -179,9 +180,9 @@ TEST(SketchServer, HandlesAreImmutableAfterPublication) {
   VectorStream stream(edges);
   std::future<bool> done = start_pass(fleet, stream, pass);
 
-  // Grab a handle the pass published (create's empty one is version 1) and
-  // serialize it twice, before and after the pass finishes: a published
-  // sketch must never change underneath its holder.
+  // Take a sketch once the pass admitted a chunk (create's empty tenant is
+  // version 1) and serialize it twice, before and after the pass finishes:
+  // a sketch handle() returned must never change underneath its holder.
   while (fleet.tenant_stats(kTenant)->version < 2) std::this_thread::yield();
   const std::shared_ptr<const SubsampleSketch> early = handle_of(fleet);
   ASSERT_NE(early, nullptr);
@@ -221,6 +222,39 @@ TEST(SketchServer, StopEndsEarlyAndLeavesResumableCheckpoint) {
             edges.size());
   EXPECT_EQ(to_bytes(*handle_of(restarted)),
             to_bytes(reference_sketch(edges, 256)));
+  std::remove(ck_path.c_str());
+}
+
+TEST(SketchServer, RefusedChunkKeepsTheLastGoodCheckpoint) {
+  // A set id outside the universe in the fourth chunk: the fleet refuses
+  // that chunk and the pass fails there. The engine still offers the
+  // boundary after it, and a checkpoint saved there would count the refused
+  // chunk as done — a resume would skip it silently. The checkpoint on disk
+  // must stay the one taken after the third chunk.
+  std::vector<Edge> edges = make_edges(4000);
+  edges[3 * 256 + 10].set = kNumSets;
+  const std::string ck_path =
+      testing::TempDir() + "covstream_server_refused_ck.snap";
+  SketchFleet fleet({});
+  create_tenant(fleet);
+  FilePass pass;
+  pass.batch_edges = 256;
+  pass.checkpoint_every = 1;
+  pass.checkpoint_path = ck_path;
+  VectorStream stream(edges);
+  std::string error;
+  EXPECT_FALSE(run_file_pass(fleet, kTenant, stream, pass, &error));
+  EXPECT_NE(error.find("outside universe"), std::string::npos) << error;
+  EXPECT_EQ(pass.edges.load(), 3u * 256);
+
+  std::optional<IngestCheckpoint> checkpoint =
+      load_snapshot<IngestCheckpoint>(ck_path, &error);
+  ASSERT_TRUE(checkpoint) << error;
+  EXPECT_EQ(checkpoint->resume.edges_read, 3u * 256);
+  EXPECT_EQ(checkpoint->resume.edges_kept, 3u * 256);
+  EXPECT_EQ(to_bytes(checkpoint->sketch),
+            to_bytes(reference_sketch(
+                std::vector<Edge>(edges.begin(), edges.begin() + 3 * 256), 256)));
   std::remove(ck_path.c_str());
 }
 
@@ -268,8 +302,8 @@ TEST(SketchServer, SolveIsolatedFromConcurrentIngest) {
 }
 
 TEST(SketchServer, SolveBeforeFirstPublishIsEmpty) {
-  // Nothing answers before the tenant exists; create() publishes the empty
-  // sketch at once, and it solves to an empty cover.
+  // Nothing answers before the tenant exists; a created tenant answers at
+  // once from its empty sketch, which solves to an empty cover.
   SketchFleet fleet({});
   std::string error;
   EXPECT_FALSE(fleet.solve(kTenant, 4, &error).has_value());
@@ -332,7 +366,7 @@ TEST(SketchServer, StatsAdvanceAndFinish) {
       fleet.tenant_stats(kTenant);
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->edges_ingested, edges.size());
-  // One publish per admitted chunk, on top of create()'s.
+  // One version per admitted chunk, on top of create()'s.
   EXPECT_EQ(stats->version, 1 + (edges.size() + 255) / 256);
   const std::shared_ptr<const SubsampleSketch> handle = handle_of(fleet);
   ASSERT_NE(handle, nullptr);

@@ -1,5 +1,5 @@
-// SketchFleet: multi-tenant registry + memory arbitration + warm solvers on
-// published handles (DESIGN.md §5.12).
+// SketchFleet: multi-tenant registry + memory arbitration + views and warm
+// solvers on published handles (DESIGN.md §5.12).
 //
 // The properties under test:
 //  * per-tenant ingest/estimate/solve answers exactly match a directly-built
@@ -10,9 +10,16 @@
 //    its republished handle serializes to identical bytes;
 //  * the budget arbiter evicts cold tenants (never the working set's hot
 //    tenant mid-operation) and the fleet keeps answering correctly;
+//  * an ingest copies nothing: the fleet charges the live sketch alone until
+//    the version's first read builds its view, which every later read of
+//    that version reuses;
 //  * a published handle's warm solver is reused within a version and rebuilt
 //    across versions and reloads, without changing any answer, and a solved
 //    version is freed with its handle;
+//  * readers racing one writer each see the tenant's chunk boundaries in
+//    order, and a read that starts after an ingest returns sees it;
+//  * take() hands back the sketch a tenant built, evicted or not, and
+//    removes the tenant like drop();
 //  * N client threads of create/ingest/estimate/solve/evict churn are safe
 //    (the TSan CI leg runs this suite) and deterministic per tenant when each
 //    tenant has one writer.
@@ -22,6 +29,7 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -271,12 +279,12 @@ TEST(Fleet, SolverCacheReusesWithinVersionAndRebuildsAcrossVersions) {
   EXPECT_EQ(third->estimated_coverage, expected.estimated_coverage);
 
   // A solved version is freed with its handle: once the tenant ingests
-  // again, nothing pins it or its warm solver.
-  const std::weak_ptr<const SubsampleSketch> solved = fleet.handle("hot", &error);
-  ASSERT_FALSE(solved.expired()) << error;
+  // again, it is charged for its live sketch alone — no view, no solver.
   const std::vector<Edge> last = make_edges(5000, 0x1A57);
   ASSERT_TRUE(fleet.ingest("hot", last, &error)) << error;
-  EXPECT_TRUE(solved.expired());
+  const std::shared_ptr<const SubsampleSketch> live = fleet.handle("hot", &error);
+  ASSERT_NE(live, nullptr) << error;
+  EXPECT_EQ(fleet.tenant_stats("hot")->space_words, live->space_words());
 
   // Eviction frees the warm solver with the handle, so a solve after the
   // reload rebuilds it — a miss although the version is unchanged — and
@@ -307,6 +315,120 @@ TEST(Fleet, SolverCacheReusesWithinVersionAndRebuildsAcrossVersions) {
   }
 }
 
+TEST(Fleet, IngestCopiesNothingAndFirstReadBuildsTheView) {
+  SketchFleet fleet({});
+  std::string error;
+  ASSERT_TRUE(fleet.create("lazy", fleet_params(), &error)) << error;
+  const std::vector<Edge> edges = make_edges(12000, 0x1A2E);
+  SubsampleSketch reference(fleet_params());
+  for (std::size_t at = 0; at < edges.size(); at += 3000) {
+    const std::span<const Edge> chunk(edges.data() + at, 3000);
+    ASSERT_TRUE(fleet.ingest("lazy", chunk, &error)) << error;
+    reference.update_chunk(chunk);
+  }
+  const auto words = [&fleet] {
+    return fleet.tenant_stats("lazy")->space_words;
+  };
+  // Ingest holds the live sketch and nothing else.
+  EXPECT_EQ(words(), reference.space_words());
+
+  // The version's first read builds its view, and the fleet charges it.
+  const std::vector<SetId> family = {0, 6, 19, 31};
+  EXPECT_EQ(fleet.estimate("lazy", family, &error),
+            reference.estimate_coverage(family))
+      << error;
+  const std::size_t with_view =
+      reference.space_words() + reference.view().space_words();
+  EXPECT_EQ(words(), with_view);
+
+  // Later reads of the version reuse that view: nothing more is built or
+  // charged, and a solve builds its solver on the same view.
+  const std::uint64_t misses = fleet.stats().solver_cache_misses;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(fleet.estimate("lazy", family, &error).has_value()) << error;
+  }
+  const std::vector<std::vector<SetId>> families = {family, {2}};
+  std::vector<SketchFleet::EstimateOutcome> outcomes;
+  ASSERT_TRUE(fleet.estimate_batch("lazy", families, &outcomes, &error))
+      << error;
+  EXPECT_EQ(words(), with_view);
+  EXPECT_EQ(fleet.stats().solver_cache_misses, misses);
+  ASSERT_TRUE(fleet.solve("lazy", 3, &error).has_value()) << error;
+  EXPECT_EQ(words(), with_view);
+  EXPECT_EQ(fleet.stats().solver_cache_misses, misses + 1);
+}
+
+TEST(Fleet, ReadersRacingOneWriterSeeChunkBoundariesInOrder) {
+  // One writer ingests fixed chunks into one tenant while three readers
+  // estimate one family in a loop, racing each other to build each new
+  // version's view (the TSan CI leg runs this). Every answer must be the
+  // reference estimate at some chunk boundary, and no reader may see the
+  // boundaries go backwards.
+  constexpr std::size_t kChunks = 40;
+  constexpr std::size_t kChunkEdges = 150;
+  constexpr int kReaders = 3;
+  const std::vector<Edge> edges = make_edges(kChunks * kChunkEdges, 0x5EAD);
+  const auto chunk = [&edges](std::size_t c) {
+    return std::span<const Edge>(edges.data() + c * kChunkEdges, kChunkEdges);
+  };
+  const std::vector<SetId> family = {2, 9, 23, 40};
+  SubsampleSketch reference(fleet_params());
+  std::vector<double> at_boundary = {reference.estimate_coverage(family)};
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    reference.update_chunk(chunk(c));
+    at_boundary.push_back(reference.estimate_coverage(family));
+  }
+  // Saturated, so p* moves and the answers are not monotone in the chunks.
+  ASSERT_TRUE(reference.saturated());
+
+  SketchFleet fleet({});
+  std::string error;
+  ASSERT_TRUE(fleet.create("raced", fleet_params(), &error)) << error;
+  std::atomic<bool> writing{true};
+  std::atomic<int> reading{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      reading.fetch_add(1);
+      std::string why;
+      // The earliest boundary consistent with every answer so far: matching
+      // greedily finds an ordered explanation whenever one exists.
+      std::size_t boundary = 0;
+      for (bool last = false; !last;) {
+        last = !writing.load();
+        const std::optional<double> got = fleet.estimate("raced", family, &why);
+        if (!got.has_value()) {
+          ++failures;
+          return;
+        }
+        while (boundary < at_boundary.size() && at_boundary[boundary] != *got) {
+          ++boundary;
+        }
+        if (boundary == at_boundary.size()) {
+          ++failures;  // no boundary at or after the previous answer's
+          return;
+        }
+        // This read started after the last ingest returned, so it sees it.
+        if (last && *got != at_boundary.back()) ++failures;
+      }
+    });
+  }
+  std::thread writer([&] {
+    // Start once every reader runs, so the first versions race too.
+    while (reading.load() < kReaders) std::this_thread::yield();
+    std::string why;
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      if (!fleet.ingest("raced", chunk(c), &why)) ++failures;
+    }
+    writing.store(false);
+  });
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(fleet.estimate("raced", family, &error), at_boundary.back());
+}
+
 TEST(Fleet, DropRemovesTenantAndSpillFile) {
   SketchFleet::Options options;
   options.spill_dir = temp_spill_dir("drop");
@@ -326,6 +448,38 @@ TEST(Fleet, DropRemovesTenantAndSpillFile) {
   EXPECT_EQ(fleet.stats().tenants, 0u);
   std::FILE* file = std::fopen(spill.c_str(), "rb");
   EXPECT_EQ(file, nullptr) << "drop should have deleted the spill file";
+  if (file != nullptr) std::fclose(file);
+}
+
+TEST(Fleet, TakeHandsBackTheSketchAndRemovesTheTenant) {
+  // take() is drop() that keeps the sketch: the tenant and its spill file
+  // are gone, nothing is charged any more, and the sketch handed back is the
+  // one its ingests built — reloaded first when the tenant was evicted.
+  SketchFleet::Options options;
+  options.spill_dir = temp_spill_dir("take");
+  SketchFleet fleet(options);
+  std::string error;
+  const std::vector<Edge> edges = make_edges(5000, 0x7A4E);
+  SubsampleSketch reference(fleet_params());
+  reference.update_chunk(edges);
+  for (const char* name : {"resident", "evicted"}) {
+    ASSERT_TRUE(fleet.create(name, fleet_params(), &error)) << error;
+    ASSERT_TRUE(fleet.ingest(name, edges, &error)) << error;
+  }
+  ASSERT_TRUE(fleet.evict("evicted", &error)) << error;
+  for (const char* name : {"resident", "evicted"}) {
+    const std::optional<SubsampleSketch> sketch = fleet.take(name, &error);
+    ASSERT_TRUE(sketch.has_value()) << error;
+    EXPECT_EQ(to_bytes(*sketch), to_bytes(reference)) << name;
+    EXPECT_FALSE(fleet.estimate(name, {}, &error).has_value());
+  }
+  EXPECT_EQ(fleet.stats().tenants, 0u);
+  EXPECT_EQ(fleet.stats().resident_words, 0u);
+  EXPECT_FALSE(fleet.take("resident", &error).has_value());
+  EXPECT_NE(error.find("unknown tenant"), std::string::npos) << error;
+  const std::string spill = options.spill_dir + "/evicted.spill.snap";
+  std::FILE* file = std::fopen(spill.c_str(), "rb");
+  EXPECT_EQ(file, nullptr) << "take should have deleted the spill file";
   if (file != nullptr) std::fclose(file);
 }
 

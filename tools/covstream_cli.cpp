@@ -361,10 +361,36 @@ std::optional<IngestSetup> read_ingest_setup(CliArgs& args) {
   return setup;
 }
 
+/// The one tenant a file pass feeds, for both --cmd=ingest and the stdin
+/// transport: the sketch of --input.
+constexpr char kPassTenant[] = "input";
+
+/// Registers the file pass's tenant — fresh at the flags' params, or
+/// adopting the checkpoint's sketch with `pass` set to resume after its
+/// prefix — and points `pass` at the setup's checkpoint file and cadence.
+/// `setup` must outlive the pass. Prints why on failure.
+bool seed_pass_tenant(SketchFleet& fleet, IngestSetup& setup, FilePass& pass) {
+  pass.checkpoint_path = setup.checkpoint_path;
+  pass.checkpoint_every = setup.checkpoint_every;
+  if (setup.checkpoint) pass.resume = &setup.checkpoint->resume;
+  std::string error;
+  const bool seeded =
+      setup.checkpoint
+          ? fleet.adopt(kPassTenant, std::move(setup.checkpoint->sketch),
+                        pass.resume->edges_kept, &error)
+          : fleet.create(kPassTenant, *setup.fresh_params, &error);
+  if (!seeded) {
+    std::fprintf(stderr, "cannot create tenant '%s': %s\n", kPassTenant,
+                 error.c_str());
+  }
+  return seeded;
+}
+
 int cmd_ingest(CliArgs& args) {
   const std::string input = args.get_string("input", "");
   const std::string out = args.get_string("out", "sketch.snap");
-  const std::size_t batch_edges = args.get_size("batch", 0);
+  FilePass pass;
+  pass.batch_edges = args.get_size("batch", 0);
   std::optional<IngestSetup> setup = read_ingest_setup(args);
   args.finish();
   COVSTREAM_CHECK(!input.empty());
@@ -385,33 +411,27 @@ int cmd_ingest(CliArgs& args) {
     return 2;
   }
   Timer timer;
-  SubsampleSketch sketch = setup->checkpoint
-                               ? std::move(setup->checkpoint->sketch)
-                               : SubsampleSketch(*setup->fresh_params);
-  const StreamEngine engine({batch_edges, nullptr});
-  StreamEngine::CheckpointOptions durable;
-  durable.every_chunks = setup->checkpoint_every;
-  durable.on_checkpoint = [&](const StreamEngine::ResumePoint& point) {
-    std::string error;
-    if (!save_ingest_checkpoint(point, sketch, setup->checkpoint_path, &error)) {
-      std::fprintf(stderr, "checkpoint failed: %s\n", error.c_str());
-    }
-  };
-  const StreamEngine::PassStats stats = engine.run_resumable(
-      *stream, {},
-      [&sketch](std::span<const Edge> chunk) { sketch.update_chunk(chunk); },
-      setup->checkpoint ? &setup->checkpoint->resume : nullptr, durable);
+  SketchFleet fleet({});
+  if (!seed_pass_tenant(fleet, *setup, pass)) return 1;
   std::string error;
-  if (!save_snapshot(sketch, out, &error)) {
+  if (!run_file_pass(fleet, kPassTenant, *stream, pass, &error)) {
+    std::fprintf(stderr, "cannot ingest %s: %s\n", input.c_str(),
+                 error.c_str());
+    return 1;
+  }
+  // The pass is done with the tenant: take its sketch rather than copy it.
+  const std::optional<SubsampleSketch> sketch = fleet.take(kPassTenant, &error);
+  if (!sketch || !save_snapshot(*sketch, out, &error)) {
     std::fprintf(stderr, "cannot save snapshot: %s\n", error.c_str());
     return 1;
   }
-  std::printf("ingested %zu edges -> %s\n", stats.edges_kept, out.c_str());
+  std::printf("ingested %llu edges -> %s\n",
+              static_cast<unsigned long long>(pass.edges.load()), out.c_str());
   std::printf("  sketch     : %zu elements / %zu edges, p*=%.5f\n",
-              sketch.retained_elements(), sketch.stored_edges(),
-              sketch.p_star());
+              sketch->retained_elements(), sketch->stored_edges(),
+              sketch->p_star());
   std::printf("  space      : %zu words peak, wall %.2fs\n",
-              sketch.peak_space_words(), timer.seconds());
+              sketch->peak_space_words(), timer.seconds());
   return 0;
 }
 
@@ -662,11 +682,8 @@ int cmd_serve_fleet(CliArgs& args, std::size_t port,
   return flush_ok ? 0 : 1;
 }
 
-/// The stdin transport's one tenant: the sketch of --input.
-constexpr char kServeTenant[] = "input";
-
 /// Without --port: the stdin transport over a one-tenant fleet. A file pass
-/// feeds --input into tenant kServeTenant on a background thread while each
+/// feeds --input into tenant kPassTenant on a background thread while each
 /// stdin line runs through execute_fleet_batch, exactly as a TCP line does,
 /// and its reply goes to stdout. Only `wait [<ms>]` is the transport's own.
 /// `quit`, `shutdown` or EOF end the pass at its next chunk boundary; with
@@ -687,26 +704,13 @@ int cmd_serve_stdin(CliArgs& args) {
   if (setup->checkpoint && !resume_token_fits(*stream, *setup->checkpoint, input)) {
     return 2;
   }
-  pass.checkpoint_path = setup->checkpoint_path;
-  pass.checkpoint_every = setup->checkpoint_every;
-  if (setup->checkpoint) pass.resume = &setup->checkpoint->resume;
   SketchFleet fleet({});
-  std::string error;
-  const bool seeded =
-      setup->checkpoint
-          ? fleet.adopt(kServeTenant, std::move(setup->checkpoint->sketch),
-                        pass.resume->edges_kept, &error)
-          : fleet.create(kServeTenant, *setup->fresh_params, &error);
-  if (!seeded) {
-    std::fprintf(stderr, "cannot create tenant '%s': %s\n", kServeTenant,
-                 error.c_str());
-    return 1;
-  }
+  if (!seed_pass_tenant(fleet, *setup, pass)) return 1;
   // Written by the pass thread; read only once pass_done is ready.
   bool pass_failed = false;
   std::string pass_error;
   std::future<void> pass_done = std::async(std::launch::async, [&] {
-    pass_failed = !run_file_pass(fleet, kServeTenant, *stream, pass, &pass_error);
+    pass_failed = !run_file_pass(fleet, kPassTenant, *stream, pass, &pass_error);
   });
   const auto counters = [&pass] {
     return " edges=" + std::to_string(pass.edges.load()) +
@@ -721,7 +725,7 @@ int cmd_serve_stdin(CliArgs& args) {
                "serving %s as tenant '%s': one request per stdin line "
                "(docs/PROTOCOL.md); wait [<ms>] waits for the pass, quit "
                "ends it\n",
-               input.c_str(), kServeTenant);
+               input.c_str(), kPassTenant);
 
   std::string line;
   bool closing = false;
