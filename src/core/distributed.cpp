@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "parallel/parallel_for.hpp"
+
 namespace covstream {
 
 std::string to_string(ShardRouting routing) {
@@ -193,7 +195,9 @@ std::optional<SubsampleSketch> merge_shard_set(std::vector<ShardSnapshot> shards
 
 ShardedSketchBuilder::ShardedSketchBuilder(SketchParams params, std::size_t shards,
                                            ThreadPool* pool)
-    : pool_(pool) {
+    : pool_(pool),
+      budget_(params.edge_budget()),
+      bound_every_(budget_ / 16 + (budget_ % 16 != 0)) {
   COVSTREAM_CHECK(shards >= 1);
   COVSTREAM_CHECK(params.dedupe_edges);
   shards_.reserve(shards);
@@ -202,16 +206,78 @@ ShardedSketchBuilder::ShardedSketchBuilder(SketchParams params, std::size_t shar
   }
 }
 
-void ShardedSketchBuilder::consume(EdgeStream& stream, ShardRouting routing,
-                                   std::size_t batch_edges) {
+void ShardedSketchBuilder::consume(EdgeStream& stream, std::size_t batch_edges) {
   const StreamEngine engine({batch_edges, pool_});
   const StreamEngine::Router router =
-      make_shard_router(routing, shards_.size(),
+      make_shard_router(ShardRouting::kByElementHash, shards_.size(),
                         shard_router_seed(shards_.front().params()));
-  engine.run_partitioned(stream, {}, shards_.size(), router,
-                         [this](std::size_t s, std::span<const Edge> chunk) {
-                           shards_[s].update_chunk(chunk);
-                         });
+  engine.run_partitioned(
+      stream, {}, shards_.size(), router,
+      [this](std::size_t s, std::span<const Edge> chunk) {
+        shards_[s].update_chunk(chunk);
+      },
+      {bound_every_, [this] { share_cutoff(); }});
+}
+
+void ShardedSketchBuilder::share_cutoff() {
+  // Hash routing gives each element's capped, arrival-ordered edge list to
+  // exactly one shard, so every edge counted below is one the single-stream
+  // sketch would also hold. Once those with key below x exceed the budget,
+  // the final hash prefix (§5.1) excludes every key at or above x.
+  std::size_t edges = 0;
+  std::size_t elements = 0;
+  std::uint64_t top = 0;
+  for (const SubsampleSketch& shard : shards_) {
+    edges += shard.stored_edges();
+    elements += shard.retained_elements();
+    top = std::max(top, shard.admission_cutoff());
+  }
+  // Rescan only after a budget/16 gain, so the scan's cost per stored edge
+  // is bounded. One element alone may exceed the budget (it is never
+  // evicted); bounding it would mark an unsaturated sketch saturated.
+  if (edges <= budget_ || elements < 2 ||
+      edges < bounded_edges_ + bound_every_) {
+    return;
+  }
+  const std::size_t shards = shards_.size();
+  const std::uint64_t width = top / kBoundBuckets + 1;
+  std::vector<std::size_t> histogram(shards * kBoundBuckets, 0);  // per shard
+  parallel_for_blocked(
+      pool_, shards,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t s = begin; s < end; ++s) {
+          std::size_t* counts = histogram.data() + s * kBoundBuckets;
+          shards_[s].for_each_retained([&](std::uint64_t key, std::size_t n) {
+            counts[std::min<std::uint64_t>(key / width, kBoundBuckets - 1)] += n;
+          });
+        }
+      },
+      /*grain=*/1);
+  // The bucket where the running total first exceeds the budget; its upper
+  // edge x keeps the minimum key, which lies in this bucket or an earlier one.
+  std::size_t below = 0;
+  std::size_t bucket = 0;
+  for (; bucket < kBoundBuckets; ++bucket) {
+    for (std::size_t s = 0; s < shards; ++s) {
+      below += histogram[s * kBoundBuckets + bucket];
+    }
+    if (below > budget_) break;
+  }
+  // The last bucket's edge is the top cutoff itself: nothing to lower.
+  if (bucket + 1 >= kBoundBuckets) return;
+  const std::uint64_t cutoff = (bucket + 1) * width;
+  parallel_for_blocked(
+      pool_, shards,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t s = begin; s < end; ++s) {
+          shards_[s].lower_admission_cutoff(cutoff);
+        }
+      },
+      /*grain=*/1);
+  bounded_edges_ = 0;
+  for (const SubsampleSketch& shard : shards_) {
+    bounded_edges_ += shard.stored_edges();
+  }
 }
 
 std::size_t ShardedSketchBuilder::max_shard_space_words() const {

@@ -7,8 +7,13 @@
 // Two regimes share this header (DESIGN.md §5.14):
 //
 //  * In-process: ShardedSketchBuilder simulates the MapReduce round locally —
-//    the batched stream engine deals edges to shards, shards update
-//    concurrently via the ThreadPool, and finalize() runs the reduction tree.
+//    the batched stream engine deals edges to shards by element hash, shards
+//    update concurrently via the ThreadPool, and finalize() runs the
+//    reduction tree. Because the shards share one process, they also share
+//    one admission cutoff: at fixed stream positions the builder finds the
+//    smallest key below which the shards' retained edges already exceed the
+//    budget, and every shard evicts what lies at or above it. Each shard then
+//    holds about budget/N edges instead of the budget.
 //
 //  * Multi-process: N `covstream_cli --cmd=worker` processes each ingest the
 //    slice of the stream a shared router assigns them
@@ -22,13 +27,15 @@
 //    the merged sketch.
 //
 // Exactness: with kByElementHash routing every edge of an element lands on
-// one shard, so the merged sketch is bit-for-bit the single-stream sketch
-// regardless of caps or budgets. kRoundRobin splits an element's edges
-// across shards; the merge unions them sorted, which agrees with the
-// single-stream sketch except when the per-element degree cap binds (the
-// single-stream sketch keeps the first cap edges in ARRIVAL order, the
-// merge keeps the smallest cap set ids). Hash routing is therefore the
-// distributed default.
+// one shard, so the merged sketch holds exactly the single-stream sketch's
+// elements and edge lists regardless of caps or budgets, and so does the
+// shared bound: every edge it counts is one the single-stream sketch would
+// hold too. kRoundRobin splits an element's edges across shards; the merge
+// unions them sorted, which agrees with the single-stream sketch except
+// when the per-element degree cap binds (the single-stream sketch keeps the
+// first cap edges in ARRIVAL order, the merge keeps the smallest cap set
+// ids). Workers and the in-process builder therefore route by hash only;
+// kRoundRobin remains a SHRD routing value that files may name.
 #pragma once
 
 #include <cstdint>
@@ -128,11 +135,12 @@ class ShardedSketchBuilder {
 
   std::size_t shard_count() const { return shards_.size(); }
 
-  /// Consumes a whole stream through the engine's partitioned fan-out
-  /// (shard updates parallelized when a pool is given). `batch_edges` = 0
-  /// picks the engine default.
-  void consume(EdgeStream& stream, ShardRouting routing = ShardRouting::kRoundRobin,
-               std::size_t batch_edges = 0);
+  /// Consumes a whole stream through the engine's partitioned fan-out, routed
+  /// by element hash (shard updates parallelized when a pool is given), and
+  /// applies the shared cutoff bound once every ⌈budget/16⌉ routed edges.
+  /// `batch_edges` = 0 picks the engine default; it never changes the
+  /// shards' state.
+  void consume(EdgeStream& stream, std::size_t batch_edges = 0);
 
   /// Per-worker peak space (what each machine pays before the reduce).
   std::size_t max_shard_space_words() const;
@@ -142,8 +150,20 @@ class ShardedSketchBuilder {
   SubsampleSketch finalize();
 
  private:
+  /// Histogram buckets the shared bound resolves keys into.
+  static constexpr std::size_t kBoundBuckets = 4096;
+
+  /// The barrier hook: once the shards have gained bound_every_ stored edges
+  /// since the last bound and hold more than the budget, lowers every
+  /// shard's cutoff to the smallest bucket edge below which their retained
+  /// edges exceed the budget.
+  void share_cutoff();
+
   std::vector<SubsampleSketch> shards_;
   ThreadPool* pool_;
+  std::size_t budget_;
+  std::size_t bound_every_;       // ⌈budget/16⌉: barrier spacing and rescan gain
+  std::size_t bounded_edges_ = 0; // shards' stored edges after the last bound
 };
 
 }  // namespace covstream

@@ -70,9 +70,10 @@ KCoverResult streaming_kcover(EdgeStream& stream, SetId num_sets, std::uint32_t 
     // reduced by merging. Element-hash routing keeps every edge of an
     // element on one shard, so the merge equals the single-stream sketch
     // even when the degree cap binds (DESIGN.md §5.5, §5.14) and everything
-    // downstream of the sketch is unchanged.
+    // downstream of the sketch is unchanged. The shards share one cutoff
+    // bound, so together they hold about one budget of edges.
     ShardedSketchBuilder builder(params, pool->thread_count(), pool);
-    builder.consume(stream, ShardRouting::kByElementHash, options.batch_edges);
+    builder.consume(stream, options.batch_edges);
     const std::size_t shard_peak = builder.max_shard_space_words();
     const SubsampleSketch sketch = builder.finalize();
     KCoverResult result = kcover_on_sketch(sketch, k, pool);

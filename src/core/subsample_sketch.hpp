@@ -27,6 +27,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/params.hpp"
@@ -145,6 +146,24 @@ class SubsampleSketch {
   }
   void purge(const std::function<bool(ElemId)>& pred) {
     core_.purge(pred);
+  }
+
+  /// Calls `fn(key, stored_edges)` for every retained element: its raw
+  /// admission key (the element hash) and how many edges it stores.
+  template <typename Fn>
+  void for_each_retained(Fn&& fn) const {
+    core_.for_each_live(std::forward<Fn>(fn));
+  }
+
+  /// Lowers the admission cutoff to `cutoff` and evicts every retained
+  /// element whose key is at or above it (a no-op when the cutoff is already
+  /// that low). The sharded builder's shared bound (DESIGN.md §5.14): exact
+  /// only when the caller knows no key at or above `cutoff` can be in the
+  /// final sketch, as a merge does for the other side's cutoff.
+  void lower_admission_cutoff(std::uint64_t cutoff) {
+    if (cutoff >= core_.cutoff()) return;
+    core_.lower_cutoff(cutoff);
+    core_.purge_at_or_above_cutoff();
   }
 
   /// Union-merges `other` into *this (both must share params and hash seed,

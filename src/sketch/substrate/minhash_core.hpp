@@ -347,6 +347,15 @@ class MinHashCore {
     return arena_.view(span_[slot]);
   }
 
+  /// Calls `fn(key, stored_edges)` once per live slot, in slot order — a
+  /// read-only scan (the sharded builder histograms shard keys with it).
+  template <typename Fn>
+  void for_each_live(Fn&& fn) const {
+    for (std::uint32_t slot = 0; slot < slot_count(); ++slot) {
+      if (alive(slot)) fn(key_of(slot), std::size_t{span_[slot].size});
+    }
+  }
+
   /// Builds the solver CSR (set -> compact live-slot index) shared by both
   /// sketch views: compacts live slots into [0, num_retained), histograms
   /// per-set degrees, prefix-sums offsets, and fills the slot column.

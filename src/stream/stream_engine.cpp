@@ -1,5 +1,6 @@
 #include "stream/stream_engine.hpp"
 
+#include <algorithm>
 #include <memory>
 
 #include "hash/hash64.hpp"
@@ -82,12 +83,11 @@ StreamEngine::PassStats StreamEngine::run_resumable(
   return stats;
 }
 
-StreamEngine::PassStats StreamEngine::run_partitioned(EdgeStream& stream,
-                                                      const EdgeFilter& filter,
-                                                      std::size_t shards,
-                                                      const Router& router,
-                                                      const ShardSink& sink) const {
+StreamEngine::PassStats StreamEngine::run_partitioned(
+    EdgeStream& stream, const EdgeFilter& filter, std::size_t shards,
+    const Router& router, const ShardSink& sink, const Barrier& barrier) const {
   COVSTREAM_CHECK(shards >= 1);
+  const std::size_t every = barrier.on_barrier ? barrier.every_edges : 0;
   std::vector<std::vector<Edge>> buffers(shards);
   std::size_t routed = 0;       // kept edges dealt so far (router index)
   std::size_t buffered = 0;     // edges awaiting a flush
@@ -104,12 +104,23 @@ StreamEngine::PassStats StreamEngine::run_partitioned(EdgeStream& stream,
     buffered = 0;
   };
   PassStats stats = run(stream, filter, [&](std::span<const Edge> chunk) {
-    for (const Edge& edge : chunk) {
-      const std::size_t shard = router(edge, routed++);
-      COVSTREAM_CHECK(shard < shards);
-      buffers[shard].push_back(edge);
+    std::size_t i = 0;
+    while (i < chunk.size()) {
+      // Route up to the next barrier position, or to the chunk's end.
+      const std::size_t end =
+          every == 0 ? chunk.size()
+                     : std::min(chunk.size(), i + (every - routed % every));
+      buffered += end - i;
+      for (; i < end; ++i) {
+        const std::size_t shard = router(chunk[i], routed++);
+        COVSTREAM_CHECK(shard < shards);
+        buffers[shard].push_back(chunk[i]);
+      }
+      if (every != 0 && routed % every == 0) {
+        flush();
+        barrier.on_barrier();
+      }
     }
-    buffered += chunk.size();
     if (buffered >= shards * batch_) flush();
   });
   flush();

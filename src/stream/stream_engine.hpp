@@ -12,15 +12,19 @@
 //                     consumes this way and fans rungs out itself, so its
 //                     per-chunk hash sweep runs once — DESIGN.md §5.8);
 //  * run_partitioned— a router owns each edge to exactly one shard (the
-//                     distributed builder's round-robin deal, or hash
-//                     partitioning by element).
+//                     distributed builder's hash partitioning by element,
+//                     or a round-robin deal by arrival index); an optional
+//                     barrier hook runs a cross-shard step at fixed stream
+//                     positions (the builder's shared cutoff bound).
 //
 // With a ThreadPool, shards are updated concurrently — one task per shard
 // per chunk, barrier between chunks. Shards own disjoint state and each
 // shard's edge sequence is the serial arrival order (restricted to its own
 // edges), so pool-parallel output is bit-for-bit equal to serial execution —
 // the same guarantee DESIGN.md §5.5 gives for the ladder and sharded
-// builder, now enforced in one place.
+// builder, now enforced in one place. A partitioned barrier fires at routed-
+// edge counts the caller fixes, never at chunk boundaries, so the shard
+// states it sees are independent of pool and batch size as well.
 #pragma once
 
 #include <cstddef>
@@ -86,6 +90,17 @@ class StreamEngine {
   /// Maps (edge, index of the edge among kept edges) to its owning shard.
   using Router = std::function<std::size_t(const Edge&, std::size_t)>;
 
+  /// A cross-shard step for run_partitioned: after every `every_edges`
+  /// routed edges the engine flushes every shard buffer and then calls
+  /// `on_barrier` on the calling thread, with no shard task in flight. The
+  /// positions are counts of routed edges, so they never move with the
+  /// batch size: at each one, every shard has consumed exactly its share of
+  /// the same stream prefix (DESIGN.md §5.7).
+  struct Barrier {
+    std::size_t every_edges = 0;  // 0 = never
+    std::function<void()> on_barrier;
+  };
+
   /// One pass, one consumer, batched delivery (resets the stream first, as
   /// all run* calls do).
   PassStats run(EdgeStream& stream, const EdgeFilter& filter,
@@ -121,15 +136,24 @@ class StreamEngine {
   /// One pass dealt across `shards` partitioned consumers: the router assigns
   /// each surviving edge to exactly one shard; a shard sees its own edges in
   /// arrival order. Shard buffers are flushed together (one pool task per
-  /// shard) every `shards * batch_edges` routed edges.
+  /// shard) every `shards * batch_edges` routed edges, and at every barrier
+  /// position. No barrier fires at the end of the pass.
   PassStats run_partitioned(EdgeStream& stream, const EdgeFilter& filter,
                             std::size_t shards, const Router& router,
-                            const ShardSink& sink) const;
+                            const ShardSink& sink, const Barrier& barrier) const;
+
+  /// Without a barrier (see run_resumable's overload for why not `= {}`).
+  PassStats run_partitioned(EdgeStream& stream, const EdgeFilter& filter,
+                            std::size_t shards, const Router& router,
+                            const ShardSink& sink) const {
+    return run_partitioned(stream, filter, shards, router, sink, Barrier());
+  }
 
   std::size_t batch_edges() const { return batch_; }
   ThreadPool* pool() const { return pool_; }
 
-  /// Round-robin router (the distributed builder's default deal).
+  /// Round-robin router by kept-edge index (SHRD routing 0). Exact only while
+  /// the degree cap cannot bind; no CLI path and no builder selects it.
   static Router round_robin(std::size_t shards);
   /// Routes all edges of an element to one shard (hash partition); requires
   /// no dedupe across shards since an element never splits.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_map>
+#include <vector>
 
 #include "core/greedy_on_sketch.hpp"
 #include "stream/arrival_order.hpp"
@@ -149,6 +151,119 @@ TEST(Sharded, PerShardSpaceReported) {
   VectorStream stream(ordered_edges(gen.graph, ArrivalOrder::kRandom, 6));
   builder.consume(stream);
   EXPECT_GT(builder.max_shard_space_words(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The shared cutoff bound. Each stream below holds about 3.5 budgets of
+// capped edges, dealt over 4 shards, so no shard alone ever exceeds the
+// budget and evicts on its own: only the bound, fired from the shards'
+// combined key histogram, can keep a shard below a quarter of the stream.
+
+/// Edges a sketch with no budget would store: distinct sets per element, at
+/// most `cap` of them.
+std::size_t capped_edges(const std::vector<Edge>& edges, std::size_t cap) {
+  std::unordered_map<ElemId, std::vector<SetId>> sets;
+  std::size_t total = 0;
+  for (const Edge& edge : edges) {
+    std::vector<SetId>& own = sets[edge.elem];
+    if (own.size() < cap &&
+        std::find(own.begin(), own.end(), edge.set) == own.end()) {
+      own.push_back(edge.set);
+      ++total;
+    }
+  }
+  return total;
+}
+
+/// Builds the 4-shard sketch and the single-stream sketch of `edges`, checks
+/// that the two hold the same sketch, and returns the builder's per-shard
+/// peak as a fraction of the single-stream peak.
+double shared_bound_shard_share(const std::vector<Edge>& edges,
+                                const SketchParams& params, ElemId m,
+                                ThreadPool* pool = nullptr) {
+  const std::size_t capped = capped_edges(edges, params.degree_cap());
+  EXPECT_GT(capped, 3 * params.edge_budget());
+  EXPECT_LT(capped, 4 * params.edge_budget());
+
+  SubsampleSketch whole(params);
+  VectorStream s1(edges);
+  whole.consume(s1);
+
+  ShardedSketchBuilder builder(params, 4, pool);
+  VectorStream s2(edges);
+  builder.consume(s2);
+  const double share = static_cast<double>(builder.max_shard_space_words()) /
+                       static_cast<double>(whole.peak_space_words());
+  const SubsampleSketch merged = builder.finalize();
+  EXPECT_TRUE(merged.saturated());
+  expect_same_sketch(merged, whole, m);
+  return share;
+}
+
+TEST(Sharded, SharedBoundFiresBeforeAnyShardSaturates) {
+  const SketchParams params = shard_params(40, 20000, 0xb0d1);
+  const GeneratedInstance gen = make_uniform(40, 30000, 1875, 31);
+  const auto edges = ordered_edges(gen.graph, ArrivalOrder::kRandom, 31);
+  // Without the bound each shard peaks near a quarter of 3.5 budgets, about
+  // 0.8 of the single-stream sketch's words. With it, about 0.25.
+  EXPECT_LT(shared_bound_shard_share(edges, params, 30000), 0.5);
+}
+
+TEST(Sharded, SharedBoundExactWhenDegreeCapBinds) {
+  // k and eps chosen so the cap is 3 and most elements exceed it: every
+  // shard keeps its elements' first-arrived sets, as the single stream does.
+  SketchParams params = shard_params(12, 20000, 0xb0d2);
+  params.k = 6;
+  params.eps = 0.5;
+  ASSERT_EQ(params.degree_cap(), 3u);
+  const GeneratedInstance gen = make_uniform(12, 23500, 16667, 32);
+  const auto edges = ordered_edges(gen.graph, ArrivalOrder::kRandom, 32);
+  EXPECT_LT(capped_edges(edges, params.degree_cap()), edges.size() / 2);
+  EXPECT_LT(shared_bound_shard_share(edges, params, 23500), 0.5);
+}
+
+TEST(Sharded, SharedBoundPoolEqualsSerial) {
+  const SketchParams params = shard_params(40, 20000, 0xb0d3);
+  const GeneratedInstance gen = make_uniform(40, 30000, 1875, 33);
+  const auto edges = ordered_edges(gen.graph, ArrivalOrder::kRandom, 33);
+  ThreadPool pool(4);
+  EXPECT_LT(shared_bound_shard_share(edges, params, 30000, &pool), 0.5);
+
+  // Barriers sit at fixed stream positions and their scans run one pool
+  // task per shard, so the pooled build is the serial build slot for slot.
+  ShardedSketchBuilder serial(params, 4);
+  VectorStream s1(edges);
+  serial.consume(s1);
+  ShardedSketchBuilder pooled(params, 4, &pool);
+  VectorStream s2(edges);
+  pooled.consume(s2);
+  EXPECT_EQ(pooled.max_shard_space_words(), serial.max_shard_space_words());
+  const SketchView a = serial.finalize().view();
+  const SketchView b = pooled.finalize().view();
+  EXPECT_EQ(a.num_retained, b.num_retained);
+  EXPECT_EQ(a.set_offsets, b.set_offsets);
+  EXPECT_EQ(a.set_slots, b.set_slots);
+  EXPECT_EQ(a.p_star, b.p_star);
+}
+
+TEST(Sharded, SharedBoundSparesALoneElementOverBudget) {
+  // One element whose capped degree alone exceeds the budget: the single
+  // stream never evicts it and stays unsaturated (p* = 1), so the shards'
+  // total passing the budget must not fire the bound.
+  const SketchParams params = shard_params(40, 10, 0xb0d4);
+  ASSERT_GT(params.degree_cap(), 30u);
+  std::vector<Edge> edges;
+  for (SetId set = 0; set < 30; ++set) edges.push_back({set, 7});
+  SubsampleSketch whole(params);
+  VectorStream s1(edges);
+  whole.consume(s1);
+  ShardedSketchBuilder builder(params, 4);
+  VectorStream s2(edges);
+  builder.consume(s2);
+  const SubsampleSketch merged = builder.finalize();
+  EXPECT_FALSE(whole.saturated());
+  EXPECT_FALSE(merged.saturated());
+  expect_same_sketch(merged, whole, 8);
 }
 
 // ---------------------------------------------------------------------------

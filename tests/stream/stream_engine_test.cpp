@@ -394,7 +394,7 @@ TEST(StreamEngineBatchFuzz, PartitionedStateIndependentOfBatchSize) {
        {std::size_t{1}, std::size_t{7}, std::size_t{4096}, edges.size()}) {
     ShardedSketchBuilder builder(params, 3, nullptr);
     VectorStream stream(edges);
-    builder.consume(stream, ShardRouting::kRoundRobin, batch);
+    builder.consume(stream, batch);
     SubsampleSketch merged = builder.finalize();
     expect_same_sketch(merged, merged_reference,
                        "batch=" + std::to_string(batch));
@@ -402,8 +402,8 @@ TEST(StreamEngineBatchFuzz, PartitionedStateIndependentOfBatchSize) {
 }
 
 TEST(StreamEngineBatchFuzz, HashRoutingMergesToSameSketch) {
-  // Element-hash partitioning deals different shard loads but the reduce
-  // must still equal the round-robin (and single-stream) sketch.
+  // Element-hash partitioning deals uneven shard loads, but the reduce must
+  // still equal the single-stream sketch.
   const auto edges = test_edges(30, 1200, 16);
   SketchParams params;
   params.num_sets = 30;
@@ -417,17 +417,11 @@ TEST(StreamEngineBatchFuzz, HashRoutingMergesToSameSketch) {
   VectorStream s0(edges);
   single.consume(s0);
 
-  for (const ShardRouting routing :
-       {ShardRouting::kRoundRobin, ShardRouting::kByElementHash}) {
-    ShardedSketchBuilder builder(params, 4, nullptr);
-    VectorStream stream(edges);
-    builder.consume(stream, routing);
-    SubsampleSketch merged = builder.finalize();
-    expect_equivalent_sketch(merged, single, 1200,
-                             routing == ShardRouting::kRoundRobin
-                                 ? "round-robin"
-                                 : "element-hash");
-  }
+  ShardedSketchBuilder builder(params, 4, nullptr);
+  VectorStream stream(edges);
+  builder.consume(stream);
+  SubsampleSketch merged = builder.finalize();
+  expect_equivalent_sketch(merged, single, 1200, "element-hash");
 }
 
 }  // namespace
