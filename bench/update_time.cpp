@@ -245,6 +245,36 @@ void BM_SketchUpdateSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_SketchUpdateSerial)->Arg(1 << 16);
 
+// The families above draw uniform n = 200 instances, whose lists stay a few
+// sets long. A heavy-head zipf stream (the file_kcover model at 2000 sets)
+// grows its popular elements' lists to hundreds of sets, past the arena's
+// 64-word bitmap block (DESIGN.md §5.6): this family prices admission into
+// high-degree elements. The params are what `kcover --k=50 --eps=0.15`
+// sketches with (eps' = eps / 12, so the degree cap, ~14k, never binds);
+// the budget is a third of the stream, so the sketch saturates partway.
+void BM_SketchUpdateZipf(benchmark::State& state) {
+  const SetId n = 2000;
+  const GeneratedInstance gen = make_zipf(n, 200000, 100, 1000, 0.8, 1.1, 5);
+  const std::vector<Edge> stream = ordered_edges(gen.graph, ArrivalOrder::kRandom, 6);
+
+  SketchParams params;
+  params.num_sets = n;
+  params.k = 50;
+  params.eps = 0.15 / 12;
+  params.budget_mode = BudgetMode::kExplicit;
+  params.explicit_budget = stream.size() / 3;
+  params.hash_seed = 15;
+
+  for (auto _ : state) {
+    SubsampleSketch sketch(params);
+    feed_chunked(sketch, stream);
+    benchmark::DoNotOptimize(sketch.stored_edges());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * stream.size()));
+}
+BENCHMARK(BM_SketchUpdateZipf);
+
 // Update cost when the sketch is saturated (evictions amortized).
 void BM_SketchUpdateSaturated(benchmark::State& state) {
   const SetId n = 200;

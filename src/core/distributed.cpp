@@ -199,7 +199,6 @@ ShardedSketchBuilder::ShardedSketchBuilder(SketchParams params, std::size_t shar
       budget_(params.edge_budget()),
       bound_every_(budget_ / 16 + (budget_ % 16 != 0)) {
   COVSTREAM_CHECK(shards >= 1);
-  COVSTREAM_CHECK(params.dedupe_edges);
   shards_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
     shards_.emplace_back(params);

@@ -129,7 +129,6 @@ std::optional<SubsampleSketch> merge_shard_set(std::vector<ShardSnapshot> shards
 
 class ShardedSketchBuilder {
  public:
-  /// `params.dedupe_edges` must be true (merge requires it).
   ShardedSketchBuilder(SketchParams params, std::size_t shards,
                        ThreadPool* pool = nullptr);
 

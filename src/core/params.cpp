@@ -38,7 +38,6 @@ void SketchParams::save(SnapshotWriter& writer) const {
   writer.f64(practical_c);
   writer.u64(explicit_budget);
   writer.u8(enforce_degree_cap ? 1 : 0);
-  writer.u8(dedupe_edges ? 1 : 0);
   writer.u64(hash_seed);
   writer.end_section();
 }
@@ -54,7 +53,6 @@ bool SketchParams::load(SnapshotReader& reader) {
   practical_c = reader.f64();
   explicit_budget = reader.u64();
   enforce_degree_cap = reader.u8() != 0;
-  dedupe_edges = reader.u8() != 0;
   hash_seed = reader.u64();
   if (!reader.ok()) return false;
   if (mode > static_cast<std::uint32_t>(BudgetMode::kExplicit)) {

@@ -38,7 +38,6 @@ struct SketchParams {
   std::size_t explicit_budget = 0;     // Explicit mode budget
 
   bool enforce_degree_cap = true;  // ablation switch (H'p vs Hp)
-  bool dedupe_edges = true;        // tolerate duplicate (set, elem) arrivals
   std::uint64_t hash_seed = 0x9b97f4a7c15ULL;  // the random function h
 
   /// Per-element degree cap of H'p: ceil(n * ln(1/eps) / (eps * k)),

@@ -33,7 +33,8 @@ SubsampleSketch::SubsampleSketch(SketchParams params)
       hash_(params_.hash_seed),
       degree_cap_(params_.degree_cap()),
       edge_budget_(params_.edge_budget()),
-      core_(degree_cap_, edge_budget_, ~0ULL, kBaseSpaceWords) {}
+      core_(params_.num_sets, degree_cap_, edge_budget_, ~0ULL,
+            kBaseSpaceWords) {}
 
 void SubsampleSketch::update(const Edge& edge) {
   COVSTREAM_CHECK(edge.set < params_.num_sets);
@@ -69,10 +70,11 @@ void SubsampleSketch::update_chunk_with_keys(std::span<const Edge> edges,
                                              std::span<const ElemId> elems,
                                              std::span<const std::uint64_t> keys) {
   COVSTREAM_CHECK(edges.size() == keys.size());
-  core_.admit_batch(elems, keys,
-                    [this, edges](std::size_t i, std::uint32_t slot, bool) {
-                      absorb_admitted(slot, edges[i].set);
-                    });
+  core_.admit_batch(
+      elems, keys, [edges](std::size_t i) { return edges[i].set; },
+      [this, edges](std::size_t i, std::uint32_t slot, bool) {
+        absorb_admitted(slot, edges[i].set);
+      });
   // One standing-footprint observation per chunk: rejected edges never move
   // the counter, so this reproduces the historical after-every-edge sample.
   core_.note_peak();
@@ -83,10 +85,11 @@ void SubsampleSketch::update_candidates_with_keys(
     std::span<const std::uint64_t> keys,
     std::span<const std::uint32_t> candidates) {
   COVSTREAM_CHECK(edges.size() == keys.size());
-  core_.admit_selected(elems, keys, candidates,
-                       [this, edges](std::size_t i, std::uint32_t slot, bool) {
-                         absorb_admitted(slot, edges[i].set);
-                       });
+  core_.admit_selected(
+      elems, keys, candidates, [edges](std::size_t i) { return edges[i].set; },
+      [this, edges](std::size_t i, std::uint32_t slot, bool) {
+        absorb_admitted(slot, edges[i].set);
+      });
   core_.note_peak();
 }
 
@@ -134,10 +137,13 @@ double SubsampleSketch::p_star() const {
   return hash_to_unit(core_.max_live_key());
 }
 
-std::span<const SetId> SubsampleSketch::sets_of(ElemId elem) const {
+std::vector<SetId> SubsampleSketch::sets_of(ElemId elem) const {
+  std::vector<SetId> sets;
   const std::uint32_t slot = core_.find(elem);
-  if (slot == MinHashCore<std::uint64_t>::kNoSlot) return {};
-  return core_.edges_of(slot);
+  if (slot != MinHashCore<std::uint64_t>::kNoSlot) {
+    core_.for_each_edge(slot, [&sets](SetId set) { sets.push_back(set); });
+  }
+  return sets;
 }
 
 bool SubsampleSketch::is_retained(ElemId elem) const {
@@ -149,7 +155,6 @@ void SubsampleSketch::merge_from(const SubsampleSketch& other) {
   COVSTREAM_CHECK(params_.num_sets == other.params_.num_sets);
   COVSTREAM_CHECK(degree_cap_ == other.degree_cap_);
   COVSTREAM_CHECK(edge_budget_ == other.edge_budget_);
-  COVSTREAM_CHECK(params_.dedupe_edges && other.params_.dedupe_edges);
 
   core_.merge_from(other.core_);
   core_.enforce_budget();
@@ -181,7 +186,7 @@ std::optional<SubsampleSketch> SubsampleSketch::load_snapshot(
   // the core replace its state — core load cross-checks the derived
   // admission parameters against the serialized ones.
   SubsampleSketch sketch(params);
-  if (!sketch.core_.load(reader, params.num_sets) || !reader.end_section()) {
+  if (!sketch.core_.load(reader) || !reader.end_section()) {
     return std::nullopt;
   }
   return sketch;
@@ -196,12 +201,9 @@ double SubsampleSketch::estimate_coverage(std::span<const SetId> family) const {
   }
   std::size_t covered = 0;
   for (std::uint32_t slot = 0; slot < core_.slot_count(); ++slot) {
-    if (!core_.alive(slot)) continue;
-    for (const SetId set : core_.edges_of(slot)) {
-      if (in_family[set]) {
-        ++covered;
-        break;
-      }
+    if (core_.alive(slot) &&
+        core_.any_edge(slot, [&](SetId set) { return in_family[set]; })) {
+      ++covered;
     }
   }
   const double p = p_star();

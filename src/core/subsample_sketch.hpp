@@ -128,9 +128,10 @@ class SubsampleSketch {
   /// True if any element was ever evicted (i.e. p* < 1 meaningfully).
   bool saturated() const { return core_.saturated(); }
 
-  /// Sorted set ids stored for a retained element (empty span if the element
-  /// is not retained). Mainly for tests.
-  std::span<const SetId> sets_of(ElemId elem) const;
+  /// Ascending set ids stored for a retained element (empty if the element
+  /// is not retained), decoded from whichever form the list is in. Mainly
+  /// for tests.
+  std::vector<SetId> sets_of(ElemId elem) const;
 
   bool is_retained(ElemId elem) const;
 
@@ -166,8 +167,8 @@ class SubsampleSketch {
     core_.purge_at_or_above_cutoff();
   }
 
-  /// Union-merges `other` into *this (both must share params and hash seed,
-  /// and have dedupe enabled). If the two sketches were built over two
+  /// Union-merges `other` into *this (both must share params and hash
+  /// seed). If the two sketches were built over two
   /// partitions of a stream, the merge result equals the sketch of the whole
   /// stream: the paper's companion distributed application — shards are
   /// mergeable because the retained set is a min-hash prefix, and any
@@ -213,7 +214,7 @@ class SubsampleSketch {
   /// its slot and keep the budget enforced. All three admission shapes
   /// (per-edge, batched, candidate list) must run exactly this.
   void absorb_admitted(std::uint32_t slot, SetId set) {
-    if (core_.add_edge(slot, set, params_.dedupe_edges)) {
+    if (core_.add_edge(slot, set)) {
       core_.enforce_budget();
     }
   }

@@ -32,7 +32,8 @@ WeightedSubsampleSketch::WeightedSubsampleSketch(SketchParams params)
       hash_(params_.hash_seed),
       degree_cap_(params_.degree_cap()),
       edge_budget_(params_.edge_budget()),
-      core_(degree_cap_, edge_budget_, kInfiniteKey, kBaseSpaceWords) {}
+      core_(params_.num_sets, degree_cap_, edge_budget_, kInfiniteKey,
+            kBaseSpaceWords) {}
 
 double WeightedSubsampleSketch::key_of(ElemId elem, double weight) const {
   COVSTREAM_CHECK(weight > 0.0);
@@ -58,7 +59,7 @@ void WeightedSubsampleSketch::absorb_admitted(const WeightedEdge& edge,
                     1e-9 * (1.0 + std::abs(edge.weight)));
   }
 
-  if (core_.add_edge(slot, edge.set, /*dedupe=*/true)) {
+  if (core_.add_edge(slot, edge.set)) {
     core_.enforce_budget();
   }
 }
@@ -94,11 +95,13 @@ void WeightedSubsampleSketch::update_chunk(std::span<const WeightedEdge> edges) 
     elem_scratch_[i] = rest[i].elem;
     key_scratch_[i] = key_of(rest[i].elem, rest[i].weight);
   }
-  core_.admit_batch(std::span<const ElemId>(elem_scratch_),
-                    std::span<const double>(key_scratch_),
-                    [this, rest](std::size_t i, std::uint32_t slot, bool created) {
-                      absorb_admitted(rest[i], slot, created);
-                    });
+  core_.admit_batch(
+      std::span<const ElemId>(elem_scratch_),
+      std::span<const double>(key_scratch_),
+      [rest](std::size_t i) { return rest[i].set; },
+      [this, rest](std::size_t i, std::uint32_t slot, bool created) {
+        absorb_admitted(rest[i], slot, created);
+      });
   core_.note_peak();  // standing footprint for all-rejected chunks
 }
 
@@ -139,11 +142,9 @@ double WeightedSubsampleSketch::estimate_weighted_coverage(
   const double tau = tau_star();
   double total = 0.0;
   for (std::uint32_t slot = 0; slot < core_.slot_count(); ++slot) {
-    if (!core_.alive(slot)) continue;
-    for (const SetId set : core_.edges_of(slot)) {
-      if (!in_family[set]) continue;
+    if (core_.alive(slot) &&
+        core_.any_edge(slot, [&](SetId set) { return in_family[set]; })) {
       total += ht_value(slot, tau);
-      break;
     }
   }
   return total;
@@ -187,8 +188,7 @@ std::optional<WeightedSubsampleSketch> WeightedSubsampleSketch::load_snapshot(
   if (!params.load(reader)) return std::nullopt;
   WeightedSubsampleSketch sketch(params);
   if (!reader.f64_array(sketch.weight_of_slot_, 1ull << 40)) return std::nullopt;
-  if (!sketch.core_.load(reader, params.num_sets,
-                         sketch.weight_of_slot_.size())) {
+  if (!sketch.core_.load(reader, sketch.weight_of_slot_.size())) {
     return std::nullopt;
   }
   if (sketch.weight_of_slot_.size() > sketch.core_.slot_count()) {

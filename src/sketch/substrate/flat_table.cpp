@@ -14,15 +14,6 @@ FlatElemTable::FlatElemTable()
   // 0xFF-filled records read as slot == kNoSlot (empty) in every bucket.
 }
 
-std::uint32_t FlatElemTable::find(ElemId key) const {
-  std::size_t i = index_of(key);
-  while (slot_at(i) != kNoSlot) {
-    if (key_at(i) == key) return slot_at(i);
-    i = (i + 1) & mask_;
-  }
-  return kNoSlot;
-}
-
 std::pair<std::uint32_t, bool> FlatElemTable::find_or_insert_hashed(
     ElemId key, std::uint32_t slot_if_new, std::uint64_t hash) {
   COVSTREAM_CHECK(slot_if_new != kNoSlot);

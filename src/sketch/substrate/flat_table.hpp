@@ -32,15 +32,28 @@ class FlatElemTable {
 
   FlatElemTable();
 
-  /// Slot stored for `key`, or kNoSlot.
-  std::uint32_t find(ElemId key) const;
-
   /// The bucket hash behind index_of. Geometry-independent, so batched
   /// callers can precompute it for a whole chunk (it is exactly the SIMD
   /// mix64 sweep with salt 0) and feed the *_hashed entry points — the
   /// probe then never re-derives the hash per edge, and the hint survives
   /// a rehash between computation and use.
   static std::uint64_t bucket_hash(ElemId key) { return mix64(key); }
+
+  /// Slot stored for `key`, or kNoSlot.
+  std::uint32_t find(ElemId key) const {
+    return find_hashed(key, bucket_hash(key));
+  }
+
+  /// find() with the caller's precomputed bucket_hash(key) — the batched
+  /// admission's read-only lookahead probe (DESIGN.md §5.8).
+  std::uint32_t find_hashed(ElemId key, std::uint64_t hash) const {
+    std::size_t i = hash & mask_;
+    while (slot_at(i) != kNoSlot) {
+      if (key_at(i) == key) return slot_at(i);
+      i = (i + 1) & mask_;
+    }
+    return kNoSlot;
+  }
 
   /// Hints the cache that the probe bucket for a key hashing to `hash` is
   /// about to be touched. Used by the batched admission path to hide the

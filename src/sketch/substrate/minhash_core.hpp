@@ -23,9 +23,10 @@
 // Hot paths come in two shapes (DESIGN.md §5.8): the per-edge admit() and
 // the chunk-vectorized admit_batch(), which pre-filters a whole chunk
 // against the cutoff (after saturation almost every edge dies on this one
-// compare), compacts survivors, prefetches their table buckets, and then
-// runs the same serial insert/append/evict loop — bit-for-bit equal to
-// per-edge admission by construction.
+// compare), compacts survivors, and then runs the same serial
+// insert/evict loop behind an advisory three-stage prefetch pipeline
+// (table bucket, slot record, slab word) — bit-for-bit equal to per-edge
+// admission by construction.
 //
 // Space accounting is incremental: space_words() is the O(1) audit re-sum
 // of the component footprints, while tracked_space_words() is a running
@@ -58,31 +59,40 @@ class MinHashCore {
  public:
   static constexpr std::uint32_t kNoSlot = FlatElemTable::kNoSlot;
 
-  /// Cap on the constructor's table pre-size, in elements — the admission
-  /// chunk scale (StreamEngine::kDefaultBatchEdges, restated here because
-  /// the substrate cannot include the engine): at most one chunk of new
-  /// elements arrives between admission sweeps, so pre-sizing past this
-  /// buys nothing the first chunk can't trigger organically.
+  /// Cap on the constructor's table pre-size, in elements: its own
+  /// constant, an eighth of StreamEngine::kDefaultBatchEdges (1 << 15). It
+  /// skips a fresh table's small rehash doublings; past it the table grows
+  /// organically.
   static constexpr std::size_t kTablePresizeElems = 4096;
 
-  /// `base_space_words` is the owning policy's fixed overhead (header
-  /// fields); it seeds the tracked counter so sketch-level space is a single
-  /// member read.
-  MinHashCore(std::size_t degree_cap, std::size_t edge_budget, Key infinite_key,
-              std::size_t base_space_words = 0)
+  /// Tracked footprint, in words, from which admission also looks ahead at
+  /// slot records and slab words (admit_pipelined's second and third
+  /// stages): 4 MB, twice the per-core L2 of the host it was tuned on.
+  /// Below it the table, slot arrays and slab stay cache-resident and the
+  /// lookahead's extra probe per edge is pure cost; above it the lookahead
+  /// hides a dependent miss per edge.
+  static constexpr std::size_t kLookaheadWords = std::size_t{1} << 19;
+
+  /// `num_sets` bounds every stored set id (it sizes the arena's bitmap
+  /// form). `base_space_words` is the owning policy's fixed overhead
+  /// (header fields); it seeds the tracked counter so sketch-level space is
+  /// a single member read.
+  MinHashCore(SetId num_sets, std::size_t degree_cap, std::size_t edge_budget,
+              Key infinite_key, std::size_t base_space_words = 0)
       : degree_cap_(degree_cap),
         edge_budget_(edge_budget),
         infinite_key_(infinite_key),
         cutoff_(infinite_key),
+        arena_(num_sets),
         base_space_words_(base_space_words) {
-    // Pre-size the element index for the expected population, capped at one
-    // admission chunk's worth of inserts (kDefaultBatchEdges-scale), so a
-    // sketch that will hold thousands of elements skips the chain of small
-    // rehash doublings — the dominant cost of a fresh table's insert phase
-    // — while a tiny-budget sketch stays tiny and a huge-budget sketch
-    // never pre-pays more than one chunk. Done in the constructor so every
-    // feed shape (per-edge, chunked, candidate list) starts from the same
-    // geometry and their results stay bit-for-bit identical.
+    // Pre-size the element index for the expected population, capped at
+    // kTablePresizeElems, so a sketch that will hold thousands of elements
+    // skips the chain of small rehash doublings — the dominant cost of a
+    // fresh table's insert phase — while a tiny-budget sketch stays tiny
+    // and a huge-budget sketch never pre-pays for elements it may never
+    // see. Done in the constructor so every feed shape (per-edge, chunked,
+    // candidate list) starts from the same geometry and their results stay
+    // bit-for-bit identical.
     const std::size_t presize =
         std::min<std::size_t>(edge_budget_, kTablePresizeElems);
     table_.reserve(presize);
@@ -132,42 +142,31 @@ class MinHashCore {
   /// branch-light compare-and-compact (the cutoff is non-increasing during a
   /// pass, so an edge at or above the entry cutoff is rejected by the live
   /// cutoff too — after saturation this one compare kills almost every
-  /// edge). Phase 2 walks the survivor list, prefetching each survivor's
-  /// table buckets `kPrefetchAhead` ahead, re-checks the *live* cutoff
-  /// (evictions may lower it mid-chunk), and admits exactly as admit()
-  /// would. `on_admit(index, slot, created)` fires per admitted edge, in
-  /// chunk order, so the caller appends the edge and enforces the budget
-  /// there — making the whole batch bit-for-bit equal to per-edge updates.
-  template <typename OnAdmit>
+  /// edge). Phase 2 walks the survivors through admit_pipelined(), which
+  /// re-checks the *live* cutoff (evictions may lower it mid-chunk) and
+  /// admits exactly as admit() would. `set_of(index)` names the set edge
+  /// `index` will add (a prefetch hint only); `on_admit(index, slot,
+  /// created)` fires per admitted edge, in chunk order, so the caller adds
+  /// the edge and enforces the budget there — making the whole batch
+  /// bit-for-bit equal to per-edge updates.
+  template <typename SetOf, typename OnAdmit>
   void admit_batch(std::span<const ElemId> elems, std::span<const Key> keys,
-                   OnAdmit&& on_admit) {
+                   SetOf&& set_of, OnAdmit&& on_admit) {
     COVSTREAM_CHECK(elems.size() == keys.size());
     const std::size_t n = keys.size();
     // Dense regime (unsaturated: the cutoff is infinite, everything
-    // survives): compaction would only add indirection, so run the serial
-    // admission sweep. Every admission probes the flat table at a
+    // survives): compaction would only add indirection, so the pipeline
+    // sweeps the chunk itself. Every admission probes the flat table at a
     // hash-random bucket, so the bucket hashes for the whole chunk are
     // computed up front with one SIMD sweep (mix64 with salt 0 IS
-    // FlatElemTable::bucket_hash) and fed to both the prefetch — issued a
-    // few edges ahead to hide the probe's dependent load — and the probe
-    // itself, which then never re-derives a hash. If the sketch saturates
-    // mid-chunk the live cutoff check inside the loop still rejects
-    // exactly.
+    // FlatElemTable::bucket_hash). If the sketch saturates mid-chunk the
+    // live cutoff check inside the loop still rejects exactly.
     if (!saturated()) {
-      constexpr std::size_t kPrefetchAhead = 8;
       if (bucket_hashes_.size() < n) bucket_hashes_.resize(n);
       simd::kernels().mix64_batch(elems.data(), bucket_hashes_.data(), n, 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i + kPrefetchAhead < n) {
-          table_.prefetch_hashed(bucket_hashes_[i + kPrefetchAhead]);
-        }
-        const Key key = keys[i];
-        if (key >= cutoff_) continue;
-        bool created = false;
-        const std::uint32_t slot =
-            admit_hashed(elems[i], key, bucket_hashes_[i], created);
-        on_admit(i, slot, created);
-      }
+      admit_pipelined(
+          n, [](std::size_t s) { return s; }, elems, keys,
+          std::forward<SetOf>(set_of), std::forward<OnAdmit>(on_admit));
       return;
     }
     // Sparse regime (saturated: almost every edge dies on the cutoff
@@ -194,7 +193,7 @@ class MinHashCore {
     }
     admit_selected(elems, keys,
                    std::span<const std::uint32_t>(survivors_.data(), kept),
-                   std::forward<OnAdmit>(on_admit));
+                   std::forward<SetOf>(set_of), std::forward<OnAdmit>(on_admit));
   }
 
   /// Counts keys strictly below `bound` — the chunk pre-filter's fast
@@ -221,44 +220,34 @@ class MinHashCore {
   }
 
   /// Admits an externally compacted candidate list (chunk indices into the
-  /// parallel spans), prefetching each candidate's table bucket ahead and
-  /// re-checking the LIVE cutoff per candidate — evictions may lower it
-  /// between candidates. The ladder builds ONE candidate list per chunk
-  /// against the max cutoff across rungs and feeds it to every rung
-  /// (DESIGN.md §5.8): exact, because a key at or above the max is at or
-  /// above every rung's cutoff.
-  template <typename OnAdmit>
+  /// parallel spans) through admit_pipelined(), re-checking the LIVE cutoff
+  /// per candidate — evictions may lower it between candidates. The ladder
+  /// builds ONE candidate list per chunk against the max cutoff across rungs
+  /// and feeds it to every rung (DESIGN.md §5.8): exact, because a key at or
+  /// above the max is at or above every rung's cutoff.
+  template <typename SetOf, typename OnAdmit>
   void admit_selected(std::span<const ElemId> elems, std::span<const Key> keys,
                       std::span<const std::uint32_t> candidates,
-                      OnAdmit&& on_admit) {
-    constexpr std::size_t kPrefetchAhead = 8;
+                      SetOf&& set_of, OnAdmit&& on_admit) {
     const std::size_t kept = candidates.size();
+    if (bucket_hashes_.size() < kept) bucket_hashes_.resize(kept);
     for (std::size_t s = 0; s < kept; ++s) {
-      if (s + kPrefetchAhead < kept) {
-        table_.prefetch(elems[candidates[s + kPrefetchAhead]]);
-      }
-      const std::size_t i = candidates[s];
-      const Key key = keys[i];
-      if (key >= cutoff_) continue;  // below another rung's cutoff, or
-                                     // an eviction lowered ours mid-chunk
-      bool created = false;
-      const std::uint32_t slot = admit(elems[i], key, created);
-      on_admit(i, slot, created);
+      bucket_hashes_[s] = FlatElemTable::bucket_hash(elems[candidates[s]]);
     }
+    admit_pipelined(
+        kept, [candidates](std::size_t s) { return std::size_t{candidates[s]}; },
+        elems, keys, std::forward<SetOf>(set_of),
+        std::forward<OnAdmit>(on_admit));
   }
 
-  /// Appends `set` to the slot's edge list, honoring the degree cap and
-  /// (optionally) sorted-dedupe. Returns whether an edge was stored; the
+  /// Adds `set` to the slot's edge list, honoring the degree cap; a set the
+  /// list already holds is a no-op. Returns whether an edge was stored; the
   /// caller should then enforce_budget().
-  bool add_edge(std::uint32_t slot, SetId set, bool dedupe) {
+  bool add_edge(std::uint32_t slot, SetId set) {
     EdgeArena::Span& span = span_[slot];
     if (span.size >= degree_cap_) return false;
     const std::size_t slab_before = arena_.space_words();
-    if (dedupe) {
-      if (!arena_.insert_sorted(span, set)) return false;
-    } else {
-      arena_.append(span, set);
-    }
+    if (!arena_.insert(span, set)) return false;
     adjust_space(delta(slab_before, arena_.space_words()));
     ++stored_edges_;
     return true;
@@ -285,8 +274,8 @@ class MinHashCore {
     return slot;
   }
 
-  /// Replaces a slot's edge list wholesale (caller supplies the required
-  /// ordering; the degree cap must already be applied).
+  /// Replaces a slot's edge list wholesale with `sets`, strictly ascending
+  /// (the degree cap must already be applied).
   void assign_edges(std::uint32_t slot, std::span<const SetId> sets) {
     COVSTREAM_CHECK(sets.size() <= degree_cap_);
     stored_edges_ -= span_[slot].size;
@@ -343,8 +332,17 @@ class MinHashCore {
     return heap_built_ ? heap_.key_of(slot) : key_slot_[slot];
   }
 
-  std::span<const SetId> edges_of(std::uint32_t slot) const {
-    return arena_.view(span_[slot]);
+  /// Calls `fn(set)` on the slot's stored sets, in ascending order.
+  template <typename Fn>
+  void for_each_edge(std::uint32_t slot, Fn&& fn) const {
+    arena_.for_each(span_[slot], std::forward<Fn>(fn));
+  }
+
+  /// Whether `pred(set)` holds for some stored set of the slot (ascending
+  /// visit, stopping at the first hit).
+  template <typename Pred>
+  bool any_edge(std::uint32_t slot, Pred&& pred) const {
+    return arena_.any_of(span_[slot], std::forward<Pred>(pred));
   }
 
   /// Calls `fn(key, stored_edges)` once per live slot, in slot order — a
@@ -379,16 +377,17 @@ class MinHashCore {
     }
     for (std::uint32_t slot = 0; slot < count; ++slot) {
       if (!alive(slot)) continue;
-      for (const SetId set : edges_of(slot)) ++set_offsets[set + 1];
+      for_each_edge(slot, [&](SetId set) { ++set_offsets[set + 1]; });
     }
     for (SetId s = 0; s < num_sets; ++s) set_offsets[s + 1] += set_offsets[s];
     set_slots.resize(stored_edges_);
     csr_cursor_.assign(set_offsets.begin(), set_offsets.end() - 1);
     for (std::uint32_t slot = 0; slot < count; ++slot) {
       if (!alive(slot)) continue;
-      for (const SetId set : edges_of(slot)) {
-        set_slots[csr_cursor_[set]++] = csr_compact_[slot];
-      }
+      const std::uint32_t compact = csr_compact_[slot];
+      for_each_edge(slot, [&](SetId set) {
+        set_slots[csr_cursor_[set]++] = compact;
+      });
     }
     return next;
   }
@@ -419,11 +418,16 @@ class MinHashCore {
     }
   }
 
-  /// Union-merge of two prefix sketches sharing key function, cap, and
-  /// budget, with sorted-deduped edge lists. An element evicted by either
-  /// side is outside the combined prefix (its key prefix already overflowed
-  /// the budget with one side's edges alone), hence the mutual cutoff purge.
-  /// The caller enforces the budget afterwards.
+  /// Union-merge of two prefix sketches sharing set universe, key function,
+  /// cap, and budget. An element evicted by either side is outside the
+  /// combined prefix (its key prefix already overflowed the budget with one
+  /// side's edges alone), hence the mutual cutoff purge. The caller enforces
+  /// the budget afterwards.
+  ///
+  /// An element new to *this takes the other side's list as one block copy,
+  /// whatever its form — the only case hash-routed shards produce, since an
+  /// element never splits across them. An element both sides hold gets the
+  /// sorted union of both lists, cut to the degree cap's smallest sets.
   ///
   /// `adopt(my_slot, their_slot)` fires for every slot newly created from
   /// `other`, so wrappers that keep per-slot side tables (the weighted
@@ -435,22 +439,31 @@ class MinHashCore {
     purge_at_or_above_cutoff();
     for (std::uint32_t theirs = 0; theirs < other.slot_count(); ++theirs) {
       if (!other.alive(theirs) || other.key_of(theirs) >= cutoff_) continue;
-      const std::span<const SetId> incoming = other.edges_of(theirs);
       const std::uint32_t mine = table_.find(other.elem_[theirs]);
       if (mine == kNoSlot) {
         const std::uint32_t slot =
             create_slot(other.elem_[theirs], other.key_of(theirs));
-        assign_edges(slot, incoming);
+        const std::size_t slab_before = arena_.space_words();
+        arena_.copy(span_[slot], other.arena_, other.span_[theirs]);
+        adjust_space(delta(slab_before, arena_.space_words()));
+        stored_edges_ += span_[slot].size;
         adopt(slot, theirs);
       } else {
         // merge_scratch_ doubles as the required non-aliasing staging buffer
         // (EdgeArena::assign may reallocate the slab mid-copy) and as the
         // reusable allocation across slots and merge calls.
-        const std::span<const SetId> existing = edges_of(mine);
+        const auto stage = [this](SetId set) { merge_scratch_.push_back(set); };
         merge_scratch_.clear();
-        merge_scratch_.reserve(existing.size() + incoming.size());
-        std::set_union(existing.begin(), existing.end(), incoming.begin(),
-                       incoming.end(), std::back_inserter(merge_scratch_));
+        for_each_edge(mine, stage);
+        const auto mine_size =
+            static_cast<std::ptrdiff_t>(merge_scratch_.size());
+        other.for_each_edge(theirs, stage);
+        std::inplace_merge(merge_scratch_.begin(),
+                           merge_scratch_.begin() + mine_size,
+                           merge_scratch_.end());
+        merge_scratch_.erase(
+            std::unique(merge_scratch_.begin(), merge_scratch_.end()),
+            merge_scratch_.end());
         if (merge_scratch_.size() > degree_cap_) {
           merge_scratch_.resize(degree_cap_);
         }
@@ -556,17 +569,16 @@ class MinHashCore {
   /// core's — the owning sketch constructs itself from its saved params
   /// first, so a mismatch means the snapshot pairs a core with the wrong
   /// policy. Cross-checks every structural invariant (array parity, span
-  /// bounds, liveness vs. free list, table membership, stored-edge total,
-  /// tracked-vs-audit space) and fails the reader — returning false — on the
-  /// first violation. `set_bound` is the owning sketch's set universe size:
-  /// every stored SetId must be strictly below it (the checksum is not
-  /// cryptographic, and an out-of-range id would index past solver-side
-  /// arrays on the first query). `policy_space_words` is what the owning
-  /// sketch folded in via track_policy_space (e.g. the weighted sketch's
-  /// weight array), needed to reconcile the tracked counter with the audit
-  /// re-sum.
-  bool load(SnapshotReader& reader, SetId set_bound,
-            std::size_t policy_space_words = 0) {
+  /// form, bounds and contents, liveness vs. free list, table membership,
+  /// stored-edge total, tracked-vs-audit space) and fails the reader —
+  /// returning false — on the first violation. Every stored list must be
+  /// strictly ascending below the constructed set universe (the checksum is
+  /// not cryptographic: an out-of-range id would index past solver-side
+  /// arrays on the first query, and a repeated or unsorted one would break
+  /// insert and merge). `policy_space_words` is what the owning sketch
+  /// folded in via track_policy_space (e.g. the weighted sketch's weight
+  /// array), needed to reconcile the tracked counter with the audit re-sum.
+  bool load(SnapshotReader& reader, std::size_t policy_space_words = 0) {
     if (!reader.begin_section(snapshot_tag('C', 'O', 'R', 'E'))) return false;
     const std::uint64_t degree_cap = reader.u64();
     const std::uint64_t edge_budget = reader.u64();
@@ -610,14 +622,14 @@ class MinHashCore {
     std::vector<Key> key_slot(static_cast<std::size_t>(key_count));
     for (Key& key : key_slot) snapshot_read_key(reader, key);
     FlatElemTable table;
-    EdgeArena arena;
+    EdgeArena arena(arena_.num_sets());
     SlotHeap<Key> heap;
     // slab_claimed marks every slab word owned by a free block (filled by
     // the arena) or a live span (claimed below): double ownership means a
     // forged snapshot aliased two blocks, which a later insert would turn
     // into silent cross-slot corruption.
     std::vector<bool> slab_claimed;
-    if (!table.load(reader) || !arena.load(reader, &slab_claimed) ||
+    if (!table.load(reader) || !arena.load(reader, slab_claimed) ||
         !heap.load(reader, /*max_tracked=*/elem.size())) {
       return false;
     }
@@ -644,7 +656,7 @@ class MinHashCore {
       }
       const EdgeArena::Span& s = span[slot];
       if (!alive) {
-        if (s.size != 0 || s.spilled != 0) {
+        if (s.size != 0 || s.spilled != EdgeArena::kInline) {
           return reader.fail("minhash core: dead slot still holds edges");
         }
         continue;
@@ -662,31 +674,10 @@ class MinHashCore {
       if (!(live_key <= cutoff)) {
         return reader.fail("minhash core: retained key above the cutoff");
       }
-      // cap_log2 must be range-checked BEFORE capacity() touches it — on a
-      // forged value the 1u << cap_log2 inside capacity() is UB.
-      if (s.spilled != 0 && s.cap_log2 > EdgeArena::kMaxClass) {
-        return reader.fail("minhash core: span size class out of range");
+      if (s.size > degree_cap_) {
+        return reader.fail("minhash core: span exceeds the degree cap");
       }
-      if (s.size > degree_cap_ || s.size > s.capacity() ||
-          (s.spilled != 0 &&
-           (s.words[0] >= arena.slab_size() ||
-            (1ull << s.cap_log2) > arena.slab_size() - s.words[0]))) {
-        return reader.fail("minhash core: span exceeds cap or slab bounds");
-      }
-      if (s.spilled != 0) {
-        for (std::uint64_t w = 0; w < (1ull << s.cap_log2); ++w) {
-          if (slab_claimed[s.words[0] + w]) {
-            return reader.fail("minhash core: span aliases another slab block");
-          }
-          slab_claimed[s.words[0] + w] = true;
-        }
-      }
-      for (const SetId set : arena.view(s)) {
-        if (set >= set_bound) {
-          return reader.fail("minhash core: stored set id outside the "
-                             "sketch's universe");
-        }
-      }
+      if (!arena.check(s, slab_claimed, reader)) return false;
       if (table.find(elem[slot]) != slot) {
         return reader.fail("minhash core: table lookup disagrees with slot");
       }
@@ -722,6 +713,60 @@ class MinHashCore {
   }
 
  private:
+  /// The admission loop both regimes share: positions s in [0, count), each
+  /// the chunk index `index_at(s)` with bucket hash bucket_hashes_[s], run in
+  /// order behind a three-stage prefetch pipeline —
+  ///   * kBucketAhead positions ahead: the table bucket;
+  ///   * kSlotAhead ahead: a read-only find, then the slot's Span record;
+  ///   * kBlockAhead ahead: the slab word that slot's insert will touch.
+  /// The last two stages run once the footprint reaches kLookaheadWords.
+  /// Every stage only hints the cache, and each admission still runs the
+  /// full live-cutoff check and find-or-insert, so a slot that goes stale
+  /// between the lookahead and the admission (evicted, or created after its
+  /// find) wastes a hint and changes nothing that gets admitted.
+  template <typename IndexAt, typename SetOf, typename OnAdmit>
+  void admit_pipelined(std::size_t count, IndexAt&& index_at,
+                       std::span<const ElemId> elems, std::span<const Key> keys,
+                       SetOf&& set_of, OnAdmit&& on_admit) {
+    constexpr std::size_t kBucketAhead = 16;
+    constexpr std::size_t kSlotAhead = 8;
+    constexpr std::size_t kBlockAhead = 4;
+    // Slots found kSlotAhead ahead, consumed kBlockAhead ahead: position p
+    // lives in ahead[p % kSlotAhead] for the steps in between.
+    std::uint32_t ahead[kSlotAhead];
+    std::fill(std::begin(ahead), std::end(ahead), kNoSlot);
+    const bool look_ahead = tracked_space_words_ >= kLookaheadWords;
+    for (std::size_t s = 0; s < count; ++s) {
+      if (s + kBucketAhead < count) {
+        table_.prefetch_hashed(bucket_hashes_[s + kBucketAhead]);
+      }
+      if (look_ahead && s + kSlotAhead < count) {
+        const std::size_t at = s + kSlotAhead;
+        const std::uint32_t slot =
+            table_.find_hashed(elems[index_at(at)], bucket_hashes_[at]);
+        ahead[at % kSlotAhead] = slot;
+#if defined(__GNUC__) || defined(__clang__)
+        if (slot != kNoSlot) __builtin_prefetch(span_.data() + slot);
+#endif
+      }
+      if (look_ahead && s + kBlockAhead < count) {
+        const std::size_t at = s + kBlockAhead;
+        const std::uint32_t slot = ahead[at % kSlotAhead];
+        if (slot != kNoSlot) {
+          arena_.prefetch_insert(span_[slot], set_of(index_at(at)));
+        }
+      }
+      const std::size_t i = index_at(s);
+      const Key key = keys[i];
+      if (key >= cutoff_) continue;  // below another rung's cutoff, or an
+                                     // eviction lowered ours mid-chunk
+      bool created = false;
+      const std::uint32_t slot =
+          admit_hashed(elems[i], key, bucket_hashes_[s], created);
+      on_admit(i, slot, created);
+    }
+  }
+
   static std::ptrdiff_t delta(std::size_t before, std::size_t after) {
     return static_cast<std::ptrdiff_t>(after) - static_cast<std::ptrdiff_t>(before);
   }
@@ -850,7 +895,7 @@ class MinHashCore {
   std::size_t peak_space_words_ = 0;
 
   // Reusable scratch (not part of the sketch's analytic footprint):
-  // admit_batch survivor indices and dense-sweep bucket hashes, merge_from
+  // admit_batch survivor indices and per-position bucket hashes, merge_from
   // union staging, build_csr compaction map and per-set cursors.
   std::vector<std::uint32_t> survivors_;
   std::vector<std::uint64_t> bucket_hashes_;

@@ -58,7 +58,8 @@ class CoverageIndex {
 
   /// Builds the slot -> sets inverted CSR if absent. One O(edges) counting
   /// sort; repeat calls are free. A slot appears once per stored edge, so a
-  /// set with duplicate slots (dedupe off) is listed with multiplicity —
+  /// set listing a slot twice (a view no sketch produces, since stored
+  /// lists are deduped) is listed with multiplicity —
   /// which is exactly the decrement the decremental gains need to mirror the
   /// lazy rescan (DESIGN.md §5.10).
   void ensure_inverted();

@@ -1,8 +1,8 @@
 // Bit-for-bit equivalence of the chunk-vectorized admission path
 // (DESIGN.md §5.8) against the per-edge path: same retained slots, same
 // cutoffs, same stored edges, same peak-space values — across chunk sizes
-// (1 / 7 / 4096 / exact), dedupe on/off, weighted and unweighted keys, and
-// chunks that cross the saturation point mid-chunk. Also pins the ladder's
+// (1 / 7 / 4096 / exact), repeated arrivals, weighted and unweighted keys,
+// and chunks that cross the saturation point mid-chunk. Also pins the ladder's
 // shared-key sweep against per-rung hashing, and the substrate's
 // incremental space counter against the audit re-sum.
 //
@@ -64,7 +64,7 @@ void expect_same_sketch(const SubsampleSketch& a, const SubsampleSketch& b,
   }
 }
 
-SketchParams fuzz_params(Rng& rng, SetId n, bool dedupe) {
+SketchParams fuzz_params(Rng& rng, SetId n) {
   SketchParams params;
   params.num_sets = n;
   params.k = 1 + static_cast<std::uint32_t>(rng.next_below(std::uint64_t{12}));
@@ -72,7 +72,6 @@ SketchParams fuzz_params(Rng& rng, SetId n, bool dedupe) {
   params.budget_mode = BudgetMode::kExplicit;
   params.explicit_budget = 8 + rng.next_below(std::uint64_t{1200});
   params.enforce_degree_cap = rng.next_bool(0.7);
-  params.dedupe_edges = dedupe;
   params.hash_seed = rng.next();
   return params;
 }
@@ -84,10 +83,9 @@ TEST(BatchEquivalence, UnweightedChunksMatchPerEdge) {
     const ElemId m = 10 + rng.next_below(std::uint64_t{500});
     const GeneratedInstance gen =
         make_uniform(n, m, 1 + rng.next_below(std::uint64_t{30}), rng.next());
-    const bool dedupe = trial % 2 == 0;
-    const SketchParams params = fuzz_params(rng, n, dedupe);
+    const SketchParams params = fuzz_params(rng, n);
     std::vector<Edge> edges = ordered_edges(gen.graph, ArrivalOrder::kRandom, rng.next());
-    // Duplicate arrivals exercise the dedupe switch on both paths.
+    // Duplicate arrivals exercise dedupe on both paths.
     for (std::size_t d = rng.next_below(std::uint64_t{20}); d > 0 && !edges.empty(); --d) {
       edges.push_back(edges[rng.next_below(edges.size())]);
     }
@@ -116,7 +114,7 @@ TEST(BatchEquivalence, MidChunkSaturationCrossing) {
     const GeneratedInstance gen =
         make_uniform(n, 400 + rng.next_below(std::uint64_t{600}),
                      10 + rng.next_below(std::uint64_t{10}), rng.next());
-    SketchParams params = fuzz_params(rng, n, true);
+    SketchParams params = fuzz_params(rng, n);
     params.explicit_budget = 8 + rng.next_below(std::uint64_t{20});
     const auto edges = ordered_edges(gen.graph, ArrivalOrder::kRandom, rng.next());
 
@@ -130,6 +128,43 @@ TEST(BatchEquivalence, MidChunkSaturationCrossing) {
   }
 }
 
+TEST(BatchEquivalence, LookaheadPipelineMatchesPerEdge) {
+  // A sketch past MinHashCore::kLookaheadWords runs all three prefetch
+  // stages (bucket; find + slot record; slab word) in both regimes: the
+  // footprint crosses the threshold before the first eviction, so later
+  // unsaturated chunks take the dense sweep with lookahead and saturated
+  // ones the survivor list, over heavy-head zipf lists in every form. The
+  // hints must change nothing: the chunked sketch's image is the per-edge
+  // one.
+  const GeneratedInstance gen = make_zipf(500, 400000, 500, 5000, 0.8, 1.1, 77);
+  const auto edges = ordered_edges(gen.graph, ArrivalOrder::kRandom, 78);
+  SketchParams params;
+  params.num_sets = 500;
+  params.k = 50;
+  params.eps = 0.15 / 12;  // the cap (~4k) never binds
+  params.budget_mode = BudgetMode::kExplicit;
+  params.explicit_budget = edges.size() * 3 / 4;
+  params.hash_seed = 0x100CA;
+
+  SubsampleSketch per_edge(params);
+  std::size_t words_at_saturation = 0;
+  for (const Edge& edge : edges) {
+    per_edge.update(edge);
+    if (words_at_saturation == 0 && per_edge.saturated()) {
+      words_at_saturation = per_edge.space_words();
+    }
+  }
+  ASSERT_GT(words_at_saturation, MinHashCore<std::uint64_t>::kLookaheadWords);
+  SubsampleSketch chunked(params);
+  feed_chunked(chunked, edges, 4096);
+  expect_same_sketch(per_edge, chunked, edges, "lookahead chunks");
+  SnapshotWriter a(SubsampleSketch::kSnapshotType);
+  SnapshotWriter b(SubsampleSketch::kSnapshotType);
+  per_edge.save(a);
+  chunked.save(b);
+  EXPECT_EQ(a.finish(), b.finish());
+}
+
 TEST(BatchEquivalence, WeightedChunksMatchPerEdge) {
   Rng rng(0x3E167EDULL);
   for (int trial = 0; trial < 16; ++trial) {
@@ -137,7 +172,7 @@ TEST(BatchEquivalence, WeightedChunksMatchPerEdge) {
     const GeneratedInstance gen =
         make_uniform(n, 10 + rng.next_below(std::uint64_t{400}),
                      1 + rng.next_below(std::uint64_t{20}), rng.next());
-    const SketchParams params = fuzz_params(rng, n, true);
+    const SketchParams params = fuzz_params(rng, n);
     std::vector<WeightedEdge> edges;
     for (const Edge& edge : ordered_edges(gen.graph, ArrivalOrder::kRandom, rng.next())) {
       // Weight is a function of the element, as the sketch requires.
@@ -275,12 +310,14 @@ TEST(BatchEquivalence, TrackedSpaceMatchesAuditUnderChurn) {
   // Drives MinHashCore directly through every mutation shape — batched and
   // per-edge admission, eviction churn, purge, merge — asserting the
   // incrementally tracked footprint equals the audit re-sum throughout.
+  // Caps of 5 and 6 push lists past the 4-word bitmap block of 40 sets.
+  constexpr SetId kSets = 40;
   Rng rng(0x70AC4EDULL);
   for (int trial = 0; trial < 8; ++trial) {
     const std::size_t cap = 1 + rng.next_below(std::uint64_t{6});
     const std::size_t budget = 20 + rng.next_below(std::uint64_t{200});
-    MinHashCore<std::uint64_t> core(cap, budget, ~0ULL);
-    MinHashCore<std::uint64_t> other(cap, budget, ~0ULL);
+    MinHashCore<std::uint64_t> core(kSets, cap, budget, ~0ULL);
+    MinHashCore<std::uint64_t> other(kSets, cap, budget, ~0ULL);
     const Mix64Hash hash(rng.next());
 
     std::vector<ElemId> elems;
@@ -295,23 +332,21 @@ TEST(BatchEquivalence, TrackedSpaceMatchesAuditUnderChurn) {
         const ElemId e = rng.next_below(std::uint64_t{500});
         elems.push_back(e);
         keys.push_back(hash(e));
-        sets.push_back(static_cast<SetId>(rng.next_below(std::uint64_t{40})));
+        sets.push_back(static_cast<SetId>(rng.next_below(std::uint64_t{kSets})));
       }
       MinHashCore<std::uint64_t>& target = round % 3 == 2 ? other : core;
       if (round % 2 == 0) {
-        target.admit_batch(elems, keys, [&](std::size_t i, std::uint32_t slot, bool) {
-          if (target.add_edge(slot, sets[i], /*dedupe=*/true)) {
-            target.enforce_budget();
-          }
-        });
+        target.admit_batch(
+            elems, keys, [&](std::size_t i) { return sets[i]; },
+            [&](std::size_t i, std::uint32_t slot, bool) {
+              if (target.add_edge(slot, sets[i])) target.enforce_budget();
+            });
       } else {
         for (std::size_t i = 0; i < chunk; ++i) {
           bool created = false;
           const std::uint32_t slot = target.admit(elems[i], keys[i], created);
           if (slot == MinHashCore<std::uint64_t>::kNoSlot) continue;
-          if (target.add_edge(slot, sets[i], /*dedupe=*/true)) {
-            target.enforce_budget();
-          }
+          if (target.add_edge(slot, sets[i])) target.enforce_budget();
         }
       }
       ASSERT_EQ(target.tracked_space_words(), target.space_words())
@@ -450,8 +485,7 @@ TEST(SimdEquivalence, ForcedIsaSketchesMatchBitForBit) {
     const ElemId m = 10 + rng.next_below(std::uint64_t{600});
     const GeneratedInstance gen =
         make_uniform(n, m, 1 + rng.next_below(std::uint64_t{30}), rng.next());
-    const bool dedupe = trial % 2 == 0;
-    SketchParams params = fuzz_params(rng, n, dedupe);
+    SketchParams params = fuzz_params(rng, n);
     // Half the trials get a tiny budget so the cutoff falls mid-chunk and
     // the saturated (kernel-filtered) path dominates under both tiers.
     if (trial % 2 == 1) {

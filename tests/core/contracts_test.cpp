@@ -64,13 +64,6 @@ TEST(ContractsDeathTest, MergeRejectsMismatchedSeeds) {
   EXPECT_DEATH(left.merge_from(right), "hash_seed");
 }
 
-TEST(ContractsDeathTest, MergeRequiresDedupe) {
-  SketchParams params = valid_params();
-  params.dedupe_edges = false;
-  SubsampleSketch left(params), right(params);
-  EXPECT_DEATH(left.merge_from(right), "dedupe_edges");
-}
-
 TEST(ContractsDeathTest, WeightedSketchRejectsNonPositiveWeight) {
   WeightedSubsampleSketch sketch(valid_params());
   EXPECT_DEATH(sketch.update({0, 1, 0.0}), "weight > 0");

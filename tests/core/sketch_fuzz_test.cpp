@@ -58,7 +58,6 @@ SketchParams random_params(Rng& rng, SetId n) {
   params.budget_mode = BudgetMode::kExplicit;
   params.explicit_budget = 8 + rng.next_below(std::uint64_t{1200});
   params.enforce_degree_cap = rng.next_bool(0.7);
-  params.dedupe_edges = true;
   params.hash_seed = rng.next();
   return params;
 }

@@ -9,6 +9,7 @@
 
 #include "core/params.hpp"
 #include "hash/hash64.hpp"
+#include "sketch/substrate/edge_arena.hpp"
 #include "stream/arrival_order.hpp"
 #include "stream/edge_stream.hpp"
 #include "util/rng.hpp"
@@ -197,24 +198,13 @@ TEST(Sketch, OrderInvariance) {
 }
 
 TEST(Sketch, DedupeHandlesRepeatedEdges) {
-  SketchParams params = base_params(5, 2, 100);
-  params.dedupe_edges = true;
-  SubsampleSketch sketch(params);
+  SubsampleSketch sketch(base_params(5, 2, 100));
   for (int round = 0; round < 4; ++round) {
     sketch.update({1, 42});
     sketch.update({3, 42});
   }
   EXPECT_EQ(sketch.stored_edges(), 2u);
   EXPECT_EQ(sketch.sets_of(42).size(), 2u);
-}
-
-TEST(Sketch, NoDedupeCountsRepeats) {
-  SketchParams params = base_params(5, 2, 100);
-  params.dedupe_edges = false;
-  SubsampleSketch sketch(params);
-  sketch.update({1, 42});
-  sketch.update({1, 42});
-  EXPECT_EQ(sketch.stored_edges(), 2u);
 }
 
 TEST(Sketch, EstimateIsExactWhenUnsaturated) {
@@ -287,6 +277,17 @@ TEST(Sketch, ViewMatchesSketchState) {
          return s.saturated() && s.p_star() < 1.0;
        }},
       {"degree cap binds", capped, clips_an_element},
+      // 30 sets make a 4-word bitmap block, so a list of 5 or more sets is
+      // stored as a bitmap.
+      {"bitmap lists", base_params(kSets, 5, 250),
+       [&gen](const SubsampleSketch& s) {
+         for (ElemId e = 0; e < gen.graph.num_elems(); ++e) {
+           if (s.sets_of(e).size() > EdgeArena(kSets).bitmap_words()) {
+             return true;
+           }
+         }
+         return false;
+       }},
   };
 
   // 200 families: the empty one, all sets, duplicate ids, and random draws

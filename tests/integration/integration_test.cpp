@@ -140,8 +140,8 @@ TEST(Integration, PassAccountingAcrossSequentialRuns) {
 }
 
 TEST(Integration, DuplicatedStreamMatchesCleanStream) {
-  // Feeding each edge twice must not change the sketch-based solution when
-  // dedupe is on (default).
+  // Feeding each edge twice must not change the sketch-based solution: a
+  // repeated (set, element) arrival stores nothing.
   const GeneratedInstance gen = make_planted_kcover(50, 4, 60, 0.3, 47);
   std::vector<Edge> clean = ordered_edges(gen.graph, ArrivalOrder::kRandom, 7);
   std::vector<Edge> doubled;

@@ -10,9 +10,12 @@
 // never a crash or a silently wrong sketch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <optional>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "core/sketch_ladder.hpp"
@@ -20,6 +23,7 @@
 #include "core/weighted_sketch.hpp"
 #include "serve/file_pass.hpp"
 #include "sketch/l0_kcover.hpp"
+#include "sketch/substrate/edge_arena.hpp"
 #include "sketch/substrate/snapshot.hpp"
 #include "stream/arrival_order.hpp"
 #include "util/rng.hpp"
@@ -51,15 +55,13 @@ std::optional<T> from_bytes(std::vector<std::uint8_t> bytes,
   return loaded;
 }
 
-SketchParams small_params(SetId n, std::uint64_t seed, std::size_t budget,
-                          bool dedupe = true) {
+SketchParams small_params(SetId n, std::uint64_t seed, std::size_t budget) {
   SketchParams params;
   params.num_sets = n;
   params.k = 4;
   params.eps = 0.3;
   params.budget_mode = BudgetMode::kExplicit;
   params.explicit_budget = budget;
-  params.dedupe_edges = dedupe;
   params.hash_seed = seed;
   return params;
 }
@@ -90,8 +92,7 @@ TEST(Snapshot, SubsampleRoundTripFuzz) {
     // Budgets small enough that most trials saturate (the interesting case:
     // finite cutoff, heap built, arena churn) but some stay unsaturated.
     const std::size_t budget = 8 + rng.next_below(std::uint64_t{400});
-    const SketchParams params =
-        small_params(n, rng.next(), budget, trial % 2 == 0);
+    const SketchParams params = small_params(n, rng.next(), budget);
     const std::vector<Edge> edges =
         fuzz_edges(rng, n, 50 + rng.next_below(std::uint64_t{3000}));
     const std::size_t split = edges.size() / 2;
@@ -362,6 +363,216 @@ TEST(Snapshot, ForgedPayloadWithValidChecksumFails) {
   std::string error;
   EXPECT_FALSE(from_bytes<SubsampleSketch>(std::move(image), &error));
   EXPECT_NE(error.find("minhash core"), std::string::npos) << error;
+}
+
+TEST(Snapshot, VersionOneImageIsRefused) {
+  // Version 1 stored dedupe_edges in PRMS and knew no bitmap spans; its
+  // bytes are refused by the frame check, never reinterpreted.
+  std::vector<std::uint8_t> image = sample_image();
+  const std::uint32_t version_one = 1;
+  std::memcpy(image.data() + 8, &version_one, sizeof version_one);
+  std::string error;
+  EXPECT_FALSE(from_bytes<SubsampleSketch>(std::move(image), &error));
+  EXPECT_NE(error.find("version 1"), std::string::npos) << error;
+}
+
+// ------------------------------------------------------- forged edge lists ----
+
+/// An image whose lists take all three forms — n = 150, so inline up to 2
+/// sets, sorted up to the 8-word bitmap block, bitmap past it — plus byte
+/// offsets into it for forging span records and slab words.
+struct ForgeTarget {
+  std::vector<std::uint8_t> image;
+  std::size_t spans_at = 0;    // first 14-byte span record in 'CORE'
+  std::size_t span_count = 0;
+  std::size_t slab_at = 0;     // first u32 of the 'ARNA' slab
+
+  struct Span {
+    std::size_t at;  // offset of the record
+    std::uint32_t block, size;
+    std::uint8_t form, cap_log2;
+  };
+
+  /// The first live span record of `form` holding at least `min_size` sets.
+  Span span(std::uint8_t form, std::uint32_t min_size) const {
+    for (std::size_t i = 0; i < span_count; ++i) {
+      Span found{spans_at + 14 * i, 0, 0, 0, 0};
+      std::memcpy(&found.block, image.data() + found.at, 4);
+      std::memcpy(&found.size, image.data() + found.at + 8, 4);
+      found.form = image[found.at + 12];
+      found.cap_log2 = image[found.at + 13];
+      if (found.form == form && found.size >= min_size) return found;
+    }
+    ADD_FAILURE() << "no span of form " << int{form};
+    return {};
+  }
+
+  /// Byte offset of slab word `word` of a span's block.
+  std::size_t slab_word(const Span& span, std::uint32_t word) const {
+    return slab_at + 4 * (std::size_t{span.block} + word);
+  }
+};
+
+std::size_t find_tag(const std::vector<std::uint8_t>& image, std::uint32_t tag,
+                     std::size_t from) {
+  for (std::size_t i = from; i + 4 <= image.size(); ++i) {
+    std::uint32_t at;
+    std::memcpy(&at, image.data() + i, sizeof at);
+    if (at == tag) return i;
+  }
+  ADD_FAILURE() << "section tag not found";
+  return 0;
+}
+
+std::uint64_t read_u64(const std::vector<std::uint8_t>& image, std::size_t at) {
+  std::uint64_t value;
+  std::memcpy(&value, image.data() + at, sizeof value);
+  return value;
+}
+
+ForgeTarget forge_target() {
+  SketchParams params = small_params(150, 0xF0F0, 1 << 16);
+  params.enforce_degree_cap = false;
+  SubsampleSketch sketch(params);
+  for (ElemId e = 0; e < 60; ++e) {
+    for (SetId s = 0; s <= e % 20; ++s) {
+      sketch.update({static_cast<SetId>((7 * s + e) % 150), e});
+    }
+  }
+  ForgeTarget target;
+  target.image = to_bytes(sketch);
+  const std::vector<std::uint8_t>& image = target.image;
+  // CORE: tag, length, then cap, budget, infinite key, cutoff (8 bytes
+  // each), heap_built (1), stored edges and the three space counters (8
+  // each) — then arr<u64> elem, span_count, the span records.
+  const std::size_t core_at = find_tag(image, snapshot_tag('C', 'O', 'R', 'E'), 32);
+  const std::size_t elem_at = core_at + 12 + 4 * 8 + 1 + 4 * 8;
+  const std::size_t span_count_at = elem_at + 8 + 8 * read_u64(image, elem_at);
+  target.span_count = read_u64(image, span_count_at);
+  target.spans_at = span_count_at + 8;
+  // Past the spans: arr<u32> free slots, the flat key store, then the
+  // 'TBLE' section (skipped by its length) and 'ARNA', whose body opens
+  // with the slab's arr<u32>.
+  const std::size_t free_at = target.spans_at + 14 * target.span_count;
+  const std::size_t keys_at = free_at + 8 + 4 * read_u64(image, free_at);
+  const std::size_t table_at = keys_at + 8 + 8 * read_u64(image, keys_at);
+  const std::size_t arena_at = table_at + 12 + read_u64(image, table_at + 4);
+  std::uint32_t tag;
+  std::memcpy(&tag, image.data() + arena_at, sizeof tag);
+  EXPECT_EQ(tag, snapshot_tag('A', 'R', 'N', 'A'));
+  target.slab_at = arena_at + 12 + 8;
+  return target;
+}
+
+/// Re-frames `image` with a recomputed checksum and loads it: the forgery
+/// must be refused by a structural check; returns the reader's error.
+std::string forged_load_error(std::vector<std::uint8_t> image) {
+  const std::uint64_t checksum = snapshot_checksum(
+      std::span<const std::uint8_t>(image.data(), image.size() - 8));
+  std::memcpy(image.data() + image.size() - 8, &checksum, sizeof checksum);
+  std::string error;
+  EXPECT_FALSE(from_bytes<SubsampleSketch>(std::move(image), &error));
+  return error;
+}
+
+TEST(Snapshot, ForgeTargetLoadsUnforged) {
+  // The forgeries below start from this image: it must load as it stands,
+  // and hold all three list forms.
+  const ForgeTarget target = forge_target();
+  EXPECT_TRUE(from_bytes<SubsampleSketch>(target.image));
+  EXPECT_EQ(target.span(EdgeArena::kInline, 2).size, 2u);
+  EXPECT_GE(target.span(EdgeArena::kSorted, 3).size, 3u);
+  EXPECT_GT(target.span(EdgeArena::kBitmap, 9).size, 8u);
+}
+
+TEST(Snapshot, ForgedRepeatedSetInAListFails) {
+  ForgeTarget target = forge_target();
+  const ForgeTarget::Span inline_pair = target.span(EdgeArena::kInline, 2);
+  std::memcpy(target.image.data() + inline_pair.at + 4,
+              target.image.data() + inline_pair.at, 4);  // words[1] = words[0]
+  const std::string error = forged_load_error(target.image);
+  EXPECT_NE(error.find("not strictly ascending"), std::string::npos) << error;
+}
+
+TEST(Snapshot, ForgedUnsortedListFails) {
+  ForgeTarget target = forge_target();
+  const ForgeTarget::Span sorted = target.span(EdgeArena::kSorted, 3);
+  std::swap_ranges(target.image.begin() + target.slab_word(sorted, 0),
+                   target.image.begin() + target.slab_word(sorted, 1),
+                   target.image.begin() + target.slab_word(sorted, 1));
+  const std::string error = forged_load_error(target.image);
+  EXPECT_NE(error.find("not strictly ascending"), std::string::npos) << error;
+}
+
+TEST(Snapshot, ForgedUnknownSpanFormFails) {
+  ForgeTarget target = forge_target();
+  target.image[target.span(EdgeArena::kSorted, 3).at + 12] = 3;
+  const std::string error = forged_load_error(target.image);
+  EXPECT_NE(error.find("unknown span form"), std::string::npos) << error;
+}
+
+TEST(Snapshot, ForgedNonCanonicalFormFails) {
+  // A sorted-size list tagged as a bitmap, and a bitmap-size one tagged as
+  // a sorted list: each form is legal only for its own size range.
+  for (const auto& [form, min_size, forged] :
+       {std::tuple{EdgeArena::kSorted, 3u, EdgeArena::kBitmap},
+        std::tuple{EdgeArena::kBitmap, 9u, EdgeArena::kSorted}}) {
+    ForgeTarget target = forge_target();
+    target.image[target.span(form, min_size).at + 12] = forged;
+    const std::string error = forged_load_error(target.image);
+    EXPECT_NE(error.find("not the canonical one"), std::string::npos) << error;
+  }
+}
+
+TEST(Snapshot, ForgedBitmapSizeClassFails) {
+  ForgeTarget target = forge_target();
+  const ForgeTarget::Span bitmap = target.span(EdgeArena::kBitmap, 9);
+  ASSERT_EQ(bitmap.cap_log2, 3u);  // ⌈150/32⌉ = 5 words, rounded up to 8
+  target.image[bitmap.at + 13] = 2;
+  const std::string error = forged_load_error(target.image);
+  EXPECT_NE(error.find("size class"), std::string::npos) << error;
+}
+
+TEST(Snapshot, ForgedSetOutsideTheUniverseFails) {
+  // Set 150 of a 150-set universe: bit 22 of the bitmap's fifth word, a bit
+  // in its power-of-two padding (word 6), or a sorted list's last id.
+  const auto set_bit = [](ForgeTarget& target, std::uint32_t word,
+                          std::uint32_t bit) {
+    const ForgeTarget::Span bitmap = target.span(EdgeArena::kBitmap, 9);
+    target.image[target.slab_word(bitmap, word) + bit / 8] |=
+        static_cast<std::uint8_t>(1u << (bit % 8));
+  };
+  ForgeTarget tail = forge_target();
+  set_bit(tail, 4, 22);
+  ForgeTarget padding = forge_target();
+  set_bit(padding, 6, 0);
+  ForgeTarget list = forge_target();
+  const ForgeTarget::Span sorted = list.span(EdgeArena::kSorted, 3);
+  const std::uint32_t past = 150;
+  std::memcpy(list.image.data() + list.slab_word(sorted, sorted.size - 1),
+              &past, sizeof past);
+  for (ForgeTarget* target : {&tail, &padding, &list}) {
+    const std::string error = forged_load_error(target->image);
+    EXPECT_NE(error.find("outside the sketch's universe"), std::string::npos)
+        << error;
+  }
+}
+
+TEST(Snapshot, ForgedBitmapPopcountFails) {
+  ForgeTarget target = forge_target();
+  const ForgeTarget::Span bitmap = target.span(EdgeArena::kBitmap, 9);
+  // Clear the lowest set bit of the block: one set fewer than `size`.
+  for (std::uint32_t word = 0; word < 8; ++word) {
+    std::uint32_t bits;
+    const std::size_t at = target.slab_word(bitmap, word);
+    std::memcpy(&bits, target.image.data() + at, sizeof bits);
+    if (bits == 0) continue;
+    bits &= bits - 1;
+    std::memcpy(target.image.data() + at, &bits, sizeof bits);
+    break;
+  }
+  const std::string error = forged_load_error(target.image);
+  EXPECT_NE(error.find("popcount"), std::string::npos) << error;
 }
 
 }  // namespace

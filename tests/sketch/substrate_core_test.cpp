@@ -77,55 +77,187 @@ TEST(FlatTable, BackwardShiftEraseFuzzAgainstStdSet) {
 
 // ---------------------------------------------------------------- EdgeArena --
 
-TEST(EdgeArena, AppendAndView) {
-  EdgeArena arena;
+std::vector<SetId> contents(const EdgeArena& arena, const EdgeArena::Span& span) {
+  std::vector<SetId> sets;
+  arena.for_each(span, [&sets](SetId set) { sets.push_back(set); });
+  return sets;
+}
+
+TEST(EdgeArena, InsertAndVisitInAscendingOrder) {
+  // 100 sets of a 1000-set universe pass the 32-word bitmap block, so the
+  // visit decodes a bitmap; shuffled inserts still come back ascending.
+  EdgeArena arena(1000);
+  ASSERT_EQ(arena.bitmap_words(), 32u);
   EdgeArena::Span span;
-  for (SetId s = 0; s < 100; ++s) arena.append(span, s);
+  std::vector<SetId> order(100);
+  for (SetId s = 0; s < 100; ++s) order[s] = s * 7;
+  Rng rng(0xA5CE);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.next_below(i)]);
+  }
+  for (const SetId set : order) EXPECT_TRUE(arena.insert(span, set));
   EXPECT_EQ(span.size, 100u);
-  const auto view = arena.view(span);
-  for (SetId s = 0; s < 100; ++s) EXPECT_EQ(view[s], s);
+  EXPECT_EQ(span.spilled, EdgeArena::kBitmap);
+  std::sort(order.begin(), order.end());
+  EXPECT_EQ(contents(arena, span), order);
 }
 
 TEST(EdgeArena, InsertSortedDedupes) {
-  EdgeArena arena;
+  EdgeArena arena(16);
   EdgeArena::Span span;
-  EXPECT_TRUE(arena.insert_sorted(span, 5));
-  EXPECT_TRUE(arena.insert_sorted(span, 1));
-  EXPECT_TRUE(arena.insert_sorted(span, 9));
-  EXPECT_FALSE(arena.insert_sorted(span, 5));
-  EXPECT_TRUE(arena.insert_sorted(span, 7));
-  const auto view = arena.view(span);
-  EXPECT_TRUE(std::is_sorted(view.begin(), view.end()));
-  EXPECT_EQ(view.size(), 4u);
+  EXPECT_TRUE(arena.insert(span, 5));
+  EXPECT_TRUE(arena.insert(span, 1));
+  EXPECT_TRUE(arena.insert(span, 9));
+  EXPECT_FALSE(arena.insert(span, 5));
+  EXPECT_TRUE(arena.insert(span, 7));
+  EXPECT_EQ(contents(arena, span), (std::vector<SetId>{1, 5, 7, 9}));
+}
+
+TEST(EdgeArena, FormFollowsSizeAcrossTheBitmapBoundary) {
+  // n = 150: a bitmap block is ⌈150/32⌉ = 5 words rounded up to 8. Inline
+  // through 2 sets, sorted through 8, bitmap from 9 — and the conversion
+  // reuses the full 8-word block, so the slab does not grow.
+  EdgeArena arena(150);
+  ASSERT_EQ(arena.bitmap_words(), 8u);
+  EdgeArena::Span span;
+  std::vector<SetId> reference;
+  for (SetId s = 0; s < 20; ++s) {
+    const SetId set = 149 - 7 * s;
+    const std::size_t slab_before = arena.slab_size();
+    ASSERT_TRUE(arena.insert(span, set));
+    reference.insert(std::lower_bound(reference.begin(), reference.end(), set),
+                     set);
+    const std::uint8_t form = span.size <= 2   ? EdgeArena::kInline
+                              : span.size <= 8 ? EdgeArena::kSorted
+                                               : EdgeArena::kBitmap;
+    ASSERT_EQ(span.spilled, form) << "size " << span.size;
+    if (span.size == 9) {
+      EXPECT_EQ(arena.slab_size(), slab_before);
+    }
+    ASSERT_EQ(contents(arena, span), reference);
+  }
+}
+
+TEST(EdgeArena, ConvertingInsertCarriesADuplicate) {
+  // A full W-word sorted list offered a set it already holds stays sorted
+  // (a duplicate converts nothing); the next distinct set converts it.
+  EdgeArena arena(150);
+  EdgeArena::Span span;
+  for (SetId s = 0; s < 8; ++s) ASSERT_TRUE(arena.insert(span, 10 * s));
+  ASSERT_EQ(span.spilled, EdgeArena::kSorted);
+  EXPECT_FALSE(arena.insert(span, 30));
+  EXPECT_EQ(span.spilled, EdgeArena::kSorted);
+  EXPECT_EQ(span.size, 8u);
+  EXPECT_TRUE(arena.insert(span, 149));
+  EXPECT_EQ(span.spilled, EdgeArena::kBitmap);
+  EXPECT_FALSE(arena.insert(span, 149));
+  EXPECT_FALSE(arena.insert(span, 0));
+  EXPECT_EQ(contents(arena, span),
+            (std::vector<SetId>{0, 10, 20, 30, 40, 50, 60, 70, 149}));
+}
+
+TEST(EdgeArena, DegreeCapReachedExactlyAtConversion) {
+  // A cap of W + 1 = 9 at n = 150: the ninth set is the converting insert
+  // and fills the cap, so every later set is refused and the list stays a
+  // 9-set bitmap.
+  MinHashCore<std::uint64_t> core(150, /*degree_cap=*/9, /*edge_budget=*/1000,
+                                  ~0ULL);
+  bool created = false;
+  const std::uint32_t slot = core.admit(7, 12345, created);
+  ASSERT_TRUE(created);
+  for (SetId s = 0; s < 9; ++s) EXPECT_TRUE(core.add_edge(slot, 16 * s));
+  for (SetId s = 0; s < 20; ++s) EXPECT_FALSE(core.add_edge(slot, 16 * s + 1));
+  EXPECT_EQ(core.stored_edges(), 9u);
+  std::vector<SetId> sets;
+  core.for_each_edge(slot, [&sets](SetId set) { sets.push_back(set); });
+  EXPECT_EQ(sets, (std::vector<SetId>{0, 16, 32, 48, 64, 80, 96, 112, 128}));
+  EXPECT_EQ(core.tracked_space_words(), core.space_words());
+}
+
+TEST(EdgeArena, BitmapBlockIsReleasedAndReused) {
+  // A released bitmap's block goes on the W-word class free list: the next
+  // bitmap — or the next sorted list that reaches W words — takes it back
+  // instead of growing the slab.
+  EdgeArena arena(150);
+  EdgeArena::Span bitmap;
+  for (SetId s = 0; s < 40; ++s) arena.insert(bitmap, s * 3);
+  ASSERT_EQ(bitmap.spilled, EdgeArena::kBitmap);
+  const std::uint32_t block = bitmap.words[0];
+  const std::size_t slab = arena.slab_size();
+  arena.release(bitmap);
+  EXPECT_EQ(bitmap.size, 0u);
+  EXPECT_EQ(bitmap.spilled, EdgeArena::kInline);
+
+  EdgeArena::Span again;
+  for (SetId s = 0; s < 12; ++s) arena.insert(again, 149 - s);
+  EXPECT_EQ(again.spilled, EdgeArena::kBitmap);
+  EXPECT_EQ(again.words[0], block);
+  // It spilled through the 4-word block the first list grew out of.
+  EXPECT_EQ(arena.slab_size(), slab);
+  EXPECT_EQ(contents(arena, again).front(), 138u);
+  arena.release(again);
+
+  // A sorted list growing into the 8-word class reuses the block too.
+  EdgeArena::Span sorted;
+  for (SetId s = 0; s < 6; ++s) arena.insert(sorted, s);
+  EXPECT_EQ(sorted.spilled, EdgeArena::kSorted);
+  EXPECT_EQ(sorted.words[0], block);
+  EXPECT_EQ(arena.slab_size(), slab);
 }
 
 TEST(EdgeArena, FreeListReusesBlocksUnderChurn) {
   // Steady-state alloc/release churn must recycle slab space: after the
   // first generation, releasing and re-filling same-sized lists cannot grow
-  // the slab further.
-  EdgeArena arena;
-  std::vector<EdgeArena::Span> spans(64);
-  for (auto& span : spans) {
-    for (SetId s = 0; s < 16; ++s) arena.append(span, s);
-  }
-  const std::size_t slab_after_first_generation = arena.slab_size();
-  for (int generation = 0; generation < 50; ++generation) {
-    for (auto& span : spans) arena.release(span);
+  // the slab further — for sorted lists and bitmaps alike.
+  for (const SetId num_sets : {SetId{1000}, SetId{100}}) {
+    EdgeArena arena(num_sets);
+    std::vector<EdgeArena::Span> spans(64);
     for (auto& span : spans) {
-      for (SetId s = 0; s < 16; ++s) arena.append(span, s);
+      for (SetId s = 0; s < 16; ++s) arena.insert(span, s);
     }
+    const std::size_t slab_after_first_generation = arena.slab_size();
+    for (int generation = 0; generation < 50; ++generation) {
+      for (auto& span : spans) arena.release(span);
+      for (auto& span : spans) {
+        for (SetId s = 0; s < 16; ++s) arena.insert(span, s);
+      }
+    }
+    EXPECT_EQ(arena.slab_size(), slab_after_first_generation) << num_sets;
   }
-  EXPECT_EQ(arena.slab_size(), slab_after_first_generation);
 }
 
 TEST(EdgeArena, AssignReplacesContents) {
-  EdgeArena arena;
+  EdgeArena arena(16);
   EdgeArena::Span span;
-  for (SetId s = 0; s < 10; ++s) arena.append(span, s);
-  const std::vector<SetId> replacement{3, 1, 4};
+  for (SetId s = 0; s < 10; ++s) arena.insert(span, s);
+  const std::vector<SetId> replacement{1, 3, 4};
   arena.assign(span, replacement);
-  const auto view = arena.view(span);
-  EXPECT_EQ(std::vector<SetId>(view.begin(), view.end()), replacement);
+  EXPECT_EQ(span.spilled, EdgeArena::kSorted);
+  EXPECT_EQ(contents(arena, span), replacement);
+}
+
+TEST(EdgeArena, AssignLongerThanABitmapBlockTakesTheBitmapForm) {
+  // 12 ascending sets against an 8-word block: assign lands directly in a
+  // bitmap (one W-word block, no sorted detour), and a copy into another
+  // arena over the same universe is one block copy with the same contents.
+  EdgeArena arena(150);
+  std::vector<SetId> sets;
+  for (SetId s = 0; s < 12; ++s) sets.push_back(5 + 12 * s);
+  EdgeArena::Span span;
+  arena.assign(span, sets);
+  EXPECT_EQ(span.spilled, EdgeArena::kBitmap);
+  EXPECT_EQ(span.size, 12u);
+  EXPECT_EQ(arena.slab_size(), 8u);
+  EXPECT_EQ(contents(arena, span), sets);
+
+  EdgeArena other(150);
+  EdgeArena::Span copied;
+  other.copy(copied, arena, span);
+  EXPECT_EQ(copied.spilled, EdgeArena::kBitmap);
+  EXPECT_EQ(other.slab_size(), 8u);
+  EXPECT_EQ(contents(other, copied), sets);
+  EXPECT_TRUE(other.insert(copied, 149));
+  EXPECT_EQ(contents(arena, span), sets);  // the source is untouched
 }
 
 // ----------------------------------------------------------------- SlotHeap --
