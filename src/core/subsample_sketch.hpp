@@ -15,8 +15,10 @@
 // forever, so the final state equals the offline H'_{p*} (Algorithm 1) with
 // p* = the largest hash prefix whose capped edges fit the budget.
 //
-// Update cost is O(1) amortized plus O(log R) per eviction (R = retained
-// elements) — the O~(1) update time claimed in Section 3.
+// Update cost is O(1) amortized, evictions included: the eviction queue is
+// a monotone bucket queue, so a pop costs amortized O(1) where a binary
+// heap paid O(log R) (R = retained elements) — the O~(1) update time
+// claimed in Section 3.
 //
 // Storage and eviction live in the shared flat substrate (MinHashCore,
 // DESIGN.md §5.6); this class is the unweighted policy over it: the
@@ -184,7 +186,7 @@ class SubsampleSketch {
   double estimate_coverage(std::span<const SetId> family) const;
 
   /// Analytic space in 8-byte words (DESIGN.md §5.2): the substrate's flat
-  /// table + slot arrays + heap + edge slab, measured, not modeled. This is
+  /// table + slot arrays + key store + edge slab, measured, not modeled. This is
   /// the audit re-sum; the substrate maintains the same value incrementally
   /// (tracked_space_words), which is what peak tracking reads.
   std::size_t space_words() const { return kBaseSpaceWords + core_.space_words(); }
@@ -201,8 +203,8 @@ class SubsampleSketch {
 
   /// Serializes params + the full substrate state (DESIGN.md §5.9). The
   /// loaded twin answers every query — view(), p*, estimates, space — bit
-  /// for bit, and continues ingesting identically (cutoff, heap order, and
-  /// free lists are all part of the image).
+  /// for bit, and continues ingesting identically (cutoff, keys, and free
+  /// lists are all part of the image).
   void save(SnapshotWriter& writer) const;
 
   /// Restores a save()d sketch; nullopt (reader error set) on any frame or

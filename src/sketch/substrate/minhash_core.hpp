@@ -16,9 +16,10 @@
 //
 // Storage (all SoA, no per-element allocation):
 //   * FlatElemTable — open-addressing elem -> slot index;
-//   * elem_/key_/span_ — parallel slot arrays, free-list slot reuse;
+//   * elem_/span_ — parallel slot arrays, free-list slot reuse;
 //   * EdgeArena — one uint32 slab holding every edge list;
-//   * SlotHeap — indexed max-heap; heap membership IS slot liveness.
+//   * keys — a flat per-slot array until the first eviction, then a
+//     BucketQueue of (key, slot) entries with one liveness bit per slot.
 //
 // Hot paths come in two shapes (DESIGN.md §5.8): the per-edge admit() and
 // the chunk-vectorized admit_batch(), which pre-filters a whole chunk
@@ -26,7 +27,8 @@
 // compare), compacts survivors, and then runs the same serial
 // insert/evict loop behind an advisory three-stage prefetch pipeline
 // (table bucket, slot record, slab word) — bit-for-bit equal to per-edge
-// admission by construction.
+// admission by construction. Eviction pops the queue's sorted open bucket
+// and prefetches the records of the victims after it.
 //
 // Space accounting is incremental: space_words() is the O(1) audit re-sum
 // of the component footprints, while tracked_space_words() is a running
@@ -37,6 +39,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -47,8 +50,8 @@
 
 #include "hash/simd/kernels.hpp"
 #include "sketch/substrate/edge_arena.hpp"
+#include "sketch/substrate/bucket_queue.hpp"
 #include "sketch/substrate/flat_table.hpp"
-#include "sketch/substrate/slot_heap.hpp"
 #include "util/common.hpp"
 #include "util/space_meter.hpp"
 
@@ -255,12 +258,12 @@ class MinHashCore {
 
   /// Evicts max-key elements while over budget (never below one element:
   /// a single element's capped degree may alone exceed the budget). The
-  /// first overflow materializes the eviction heap from the flat key store
-  /// (DESIGN.md §5.8); before that point admission never pays a heap push.
+  /// first overflow moves the flat key store into the eviction queue
+  /// (DESIGN.md §5.8); before that point admission never pays a queue push.
   void enforce_budget() {
     if (stored_edges_ <= edge_budget_) return;
-    ensure_heap();
-    while (stored_edges_ > edge_budget_ && heap_.size() > 1) evict_max();
+    ensure_queue();
+    while (stored_edges_ > edge_budget_ && queue_.size() > 1) evict_max();
   }
 
   // ---------------------------------------------------- bulk construction --
@@ -292,11 +295,12 @@ class MinHashCore {
   bool saturated() const { return cutoff_ != infinite_key_; }
   Key cutoff() const { return cutoff_; }
 
-  /// Largest retained key; requires a nonempty sketch. Before the heap is
-  /// materialized this is a linear scan of the flat key store (queried once
-  /// per view/estimate, never per edge).
+  /// Largest retained key; requires a nonempty sketch. The queue answers
+  /// from its open bucket, or else a scan of its highest non-empty bucket;
+  /// before it exists this is a linear scan of the flat key store (queried
+  /// once per view/estimate, never per edge).
   Key max_live_key() const {
-    if (heap_built_) return heap_.top().key;
+    if (queue_built_) return queue_.max_key();
     COVSTREAM_CHECK(live_elements() > 0);
     Key best{};
     bool any = false;
@@ -319,17 +323,14 @@ class MinHashCore {
     return static_cast<std::uint32_t>(elem_.size());
   }
 
+  /// Liveness: the slot's bit once the queue exists, else a flat key below
+  /// infinite_key_ (a live key is always strictly below it, so it doubles
+  /// as the flat store's dead-slot marker).
   bool alive(std::uint32_t slot) const {
-    return heap_built_ ? heap_.contains(slot)
-                       : slot < key_slot_.size() &&
-                             key_slot_[slot] != infinite_key_;
-  }
-
-  /// Key of a live slot (flat key store until the first eviction, then the
-  /// heap entries — a live key is always strictly below infinite_key_, so
-  /// infinite_key_ doubles as the flat store's dead-slot marker).
-  Key key_of(std::uint32_t slot) const {
-    return heap_built_ ? heap_.key_of(slot) : key_slot_[slot];
+    if (queue_built_) {
+      return slot < elem_.size() && ((live_[slot >> 6] >> (slot & 63)) & 1u);
+    }
+    return slot < key_slot_.size() && key_slot_[slot] != infinite_key_;
   }
 
   /// Calls `fn(set)` on the slot's stored sets, in ascending order.
@@ -349,8 +350,12 @@ class MinHashCore {
   /// read-only scan (the sharded builder histograms shard keys with it).
   template <typename Fn>
   void for_each_live(Fn&& fn) const {
+    std::vector<Key> scratch;
+    const std::vector<Key>& keys = keys_by_slot(scratch);
     for (std::uint32_t slot = 0; slot < slot_count(); ++slot) {
-      if (alive(slot)) fn(key_of(slot), std::size_t{span_[slot].size});
+      if (keys[slot] != infinite_key_) {
+        fn(keys[slot], std::size_t{span_[slot].size});
+      }
     }
   }
 
@@ -367,28 +372,24 @@ class MinHashCore {
                           std::vector<std::uint32_t>& set_slots,
                           OnLive&& on_live) const {
     set_offsets.assign(num_sets + 1, 0);
-    const std::uint32_t count = slot_count();
-    csr_compact_.assign(count, 0);
+    csr_compact_.assign(slot_count(), 0);
     std::uint32_t next = 0;
-    for (std::uint32_t slot = 0; slot < count; ++slot) {
-      if (!alive(slot)) continue;
+    for_each_live_slot([&](std::uint32_t slot) {
       csr_compact_[slot] = next++;
       on_live(slot);
-    }
-    for (std::uint32_t slot = 0; slot < count; ++slot) {
-      if (!alive(slot)) continue;
+    });
+    for_each_live_slot([&](std::uint32_t slot) {
       for_each_edge(slot, [&](SetId set) { ++set_offsets[set + 1]; });
-    }
+    });
     for (SetId s = 0; s < num_sets; ++s) set_offsets[s + 1] += set_offsets[s];
     set_slots.resize(stored_edges_);
     csr_cursor_.assign(set_offsets.begin(), set_offsets.end() - 1);
-    for (std::uint32_t slot = 0; slot < count; ++slot) {
-      if (!alive(slot)) continue;
+    for_each_live_slot([&](std::uint32_t slot) {
       const std::uint32_t compact = csr_compact_[slot];
       for_each_edge(slot, [&](SetId set) {
         set_slots[csr_cursor_[set]++] = compact;
       });
-    }
+    });
     return next;
   }
 
@@ -398,10 +399,19 @@ class MinHashCore {
   /// untouched, so purged elements may be re-admitted later). The predicate
   /// is a template parameter so Algorithm 6's once-per-slot residual checks
   /// inline instead of going through std::function's indirect call.
+  /// In queue mode the purged slots' bits are cleared first and the queue
+  /// is laid out once at the end, without them.
   template <typename Pred>
   void purge(Pred&& pred) {
+    bool purged = false;
     for (std::uint32_t slot = 0; slot < slot_count(); ++slot) {
-      if (alive(slot) && pred(elem_[slot])) destroy_slot(slot);
+      if (alive(slot) && pred(elem_[slot])) {
+        destroy_slot(slot);
+        purged = true;
+      }
+    }
+    if (purged && queue_built_) {
+      queue_.retain([this](std::uint32_t slot) { return alive(slot); });
     }
   }
 
@@ -412,10 +422,21 @@ class MinHashCore {
   }
 
   /// Drops every live slot whose key reached the cutoff (merge housekeeping).
+  /// The queue hands over its victims from the top; they are destroyed in
+  /// ascending slot order either way, so the free list comes out the same.
   void purge_at_or_above_cutoff() {
-    for (std::uint32_t slot = 0; slot < slot_count(); ++slot) {
-      if (alive(slot) && key_of(slot) >= cutoff_) destroy_slot(slot);
+    if (!queue_built_) {
+      for (std::uint32_t slot = 0; slot < slot_count(); ++slot) {
+        if (alive(slot) && key_slot_[slot] >= cutoff_) destroy_slot(slot);
+      }
+      return;
     }
+    victims_.clear();
+    while (!queue_.empty() && queue_.top().key >= cutoff_) {
+      victims_.push_back(queue_.pop_max().slot);
+    }
+    std::sort(victims_.begin(), victims_.end());
+    for (const std::uint32_t slot : victims_) destroy_slot(slot);
   }
 
   /// Union-merge of two prefix sketches sharing set universe, key function,
@@ -437,12 +458,15 @@ class MinHashCore {
   void merge_from(const MinHashCore& other, AdoptSlot&& adopt) {
     lower_cutoff(other.cutoff_);
     purge_at_or_above_cutoff();
+    std::vector<Key> scratch;
+    const std::vector<Key>& their_keys = other.keys_by_slot(scratch);
     for (std::uint32_t theirs = 0; theirs < other.slot_count(); ++theirs) {
-      if (!other.alive(theirs) || other.key_of(theirs) >= cutoff_) continue;
+      // Dead slots hold infinite_key_, which is never below the cutoff.
+      if (their_keys[theirs] >= cutoff_) continue;
       const std::uint32_t mine = table_.find(other.elem_[theirs]);
       if (mine == kNoSlot) {
         const std::uint32_t slot =
-            create_slot(other.elem_[theirs], other.key_of(theirs));
+            create_slot(other.elem_[theirs], their_keys[theirs]);
         const std::size_t slab_before = arena_.space_words();
         arena_.copy(span_[slot], other.arena_, other.span_[theirs]);
         adjust_space(delta(slab_before, arena_.space_words()));
@@ -483,22 +507,32 @@ class MinHashCore {
   /// (a drift between the two would reject every valid snapshot).
   static std::size_t audit_space_words(const FlatElemTable& table,
                                        std::size_t slots,
-                                       const SlotHeap<Key>& heap,
-                                       std::size_t flat_key_words,
+                                       std::size_t key_store_words,
                                        const EdgeArena& arena,
                                        std::size_t free_count) {
     return table.space_words() + slots  // element ids
-           + (slots * sizeof(EdgeArena::Span) + 7) / 8 + heap.space_words() +
-           flat_key_words + arena.space_words() + words_for_u32(free_count);
+           + (slots * sizeof(EdgeArena::Span) + 7) / 8 + key_store_words +
+           arena.space_words() + words_for_u32(free_count);
+  }
+
+  /// The key store's metered words: one flat key per slot, or once the
+  /// queue exists two words per queued (key, slot) entry plus one liveness
+  /// bit per slot. Bucket heads and chunk slack are unmetered, like vector
+  /// capacity, so the meter does not depend on the queue's layout.
+  static std::size_t key_store_words(bool queue_built, std::size_t slots,
+                                     std::size_t live) {
+    return queue_built ? 2 * live + words_for_bits(slots) : slots;
   }
 
   /// Analytic space in 8-byte words (DESIGN.md §5.2): actual footprint of
   /// the table buckets, slot arrays, key store (flat array before the first
-  /// eviction, heap entries after), and edge slab. This is the audit
-  /// re-sum; the hot paths read tracked_space_words().
+  /// eviction, queue entries and liveness bits after), and edge slab. This
+  /// is the audit re-sum; the hot paths read tracked_space_words().
   std::size_t space_words() const {
-    return audit_space_words(table_, elem_.size(), heap_, key_slot_.size(),
-                             arena_, free_slots_.size());
+    const std::size_t key_words =
+        queue_built_ ? 2 * queue_.size() + live_.size() : key_slot_.size();
+    return audit_space_words(table_, elem_.size(), key_words, arena_,
+                             free_slots_.size());
   }
 
   /// Incrementally tracked footprint: base + policy extras + space_words(),
@@ -530,18 +564,19 @@ class MinHashCore {
 
   // ----------------------------------------------------------- persistence --
   /// Serializes the complete core state — admission parameters, cutoff, slot
-  /// arrays, free list, flat key store or heap, table, and arena, plus the
-  /// incremental space counters (docs/FORMATS.md §3 'CORE'). Scratch buffers
-  /// are not state and are not written. load(save(S)) answers every query
-  /// (and tracked_space_words()) bit-for-bit like S and continues ingesting
-  /// identically.
+  /// arrays, free list, one key per slot (infinite_key_ for dead slots, in
+  /// either key-store mode), table, and arena, plus the incremental space
+  /// counters (docs/FORMATS.md §3 'CORE'). The queue's layout and scratch
+  /// buffers are not state and are not written. load(save(S)) answers every
+  /// query (and tracked_space_words()) bit-for-bit like S and continues
+  /// ingesting identically.
   void save(SnapshotWriter& writer) const {
     writer.begin_section(snapshot_tag('C', 'O', 'R', 'E'));
     writer.u64(degree_cap_);
     writer.u64(edge_budget_);
     snapshot_write_key(writer, infinite_key_);
     snapshot_write_key(writer, cutoff_);
-    writer.u8(heap_built_ ? 1 : 0);
+    writer.u8(queue_built_ ? 1 : 0);
     writer.u64(stored_edges_);
     writer.u64(base_space_words_);
     writer.u64(tracked_space_words_);
@@ -556,11 +591,12 @@ class MinHashCore {
       writer.u8(span.cap_log2);
     }
     writer.u32_array(free_slots_);
-    writer.u64(key_slot_.size());
-    for (const Key key : key_slot_) snapshot_write_key(writer, key);
+    std::vector<Key> scratch;
+    const std::vector<Key>& keys = keys_by_slot(scratch);
+    writer.u64(keys.size());
+    for (const Key key : keys) snapshot_write_key(writer, key);
     table_.save(writer);
     arena_.save(writer);
-    heap_.save(writer);
     writer.end_section();
   }
 
@@ -568,10 +604,12 @@ class MinHashCore {
   /// (degree cap, edge budget, infinite key) must match the constructed
   /// core's — the owning sketch constructs itself from its saved params
   /// first, so a mismatch means the snapshot pairs a core with the wrong
-  /// policy. Cross-checks every structural invariant (array parity, span
-  /// form, bounds and contents, liveness vs. free list, table membership,
-  /// stored-edge total, tracked-vs-audit space) and fails the reader —
-  /// returning false — on the first violation. Every stored list must be
+  /// policy. In queue mode the queue is laid out afresh from the keys, and
+  /// pops the saved queue's sequence (its order depends on the entries
+  /// only). Cross-checks every structural invariant (key-store mode, array
+  /// parity, span form, bounds and contents, liveness vs. free list, table
+  /// membership, stored-edge total, tracked-vs-audit space) and fails the
+  /// reader — returning false — on the first violation. Every stored list must be
   /// strictly ascending below the constructed set universe (the checksum is
   /// not cryptographic: an out-of-range id would index past solver-side
   /// arrays on the first query, and a repeated or unsorted one would break
@@ -592,7 +630,12 @@ class MinHashCore {
     }
     Key cutoff{};
     snapshot_read_key(reader, cutoff);
-    const bool heap_built = reader.u8() != 0;
+    const std::uint8_t queue_byte = reader.u8();
+    if (reader.ok() && queue_byte > 1) {
+      return reader.fail("minhash core: key-store mode byte is neither 0 "
+                         "(flat) nor 1 (queue)");
+    }
+    const bool queue_built = queue_byte == 1;
     const std::uint64_t stored_edges = reader.u64();
     const std::uint64_t base_space = reader.u64();
     const std::uint64_t tracked_space = reader.u64();
@@ -615,29 +658,20 @@ class MinHashCore {
     if (!reader.u32_array(free_slots, elem.size())) return false;
     const std::uint64_t key_count = reader.u64();
     if (!reader.ok()) return false;
-    if (heap_built ? key_count != 0 : key_count != elem.size()) {
-      return reader.fail("minhash core: flat key store size inconsistent "
-                         "with heap state");
+    if (key_count != elem.size()) {
+      return reader.fail("minhash core: key store size differs from the "
+                         "slot arrays");
     }
     std::vector<Key> key_slot(static_cast<std::size_t>(key_count));
     for (Key& key : key_slot) snapshot_read_key(reader, key);
     FlatElemTable table;
     EdgeArena arena(arena_.num_sets());
-    SlotHeap<Key> heap;
     // slab_claimed marks every slab word owned by a free block (filled by
     // the arena) or a live span (claimed below): double ownership means a
     // forged snapshot aliased two blocks, which a later insert would turn
     // into silent cross-slot corruption.
     std::vector<bool> slab_claimed;
-    if (!table.load(reader) || !arena.load(reader, slab_claimed) ||
-        !heap.load(reader, /*max_tracked=*/elem.size())) {
-      return false;
-    }
-    if (!heap_built && heap.size() != 0) {
-      // Flat-key mode never consults the heap, so forged entries would slip
-      // every liveness check and surface later as a double-freed slot.
-      return reader.fail("minhash core: heap entries present in flat-key mode");
-    }
+    if (!table.load(reader) || !arena.load(reader, slab_claimed)) return false;
     // Structural cross-checks over the loaded pieces.
     std::uint64_t live = 0, edges = 0;
     std::vector<bool> is_free(elem.size(), false);
@@ -648,9 +682,7 @@ class MinHashCore {
       is_free[slot] = true;
     }
     for (std::uint32_t slot = 0; slot < elem.size(); ++slot) {
-      const bool alive = heap_built
-                             ? heap.contains(slot)
-                             : key_slot[slot] != infinite_key_;
+      const bool alive = key_slot[slot] != infinite_key_;
       if (alive == is_free[slot]) {
         return reader.fail("minhash core: liveness disagrees with free list");
       }
@@ -668,10 +700,9 @@ class MinHashCore {
       // two equal-key slots was evicted and the tie survivor stayed live).
       // Written negated so NaN keys or a NaN cutoff in a forged weighted
       // snapshot fail here instead of loading as silently-poisoned
-      // estimates (every NaN comparison is false, so the heap-order check
-      // alone cannot catch them).
-      const Key live_key = heap_built ? heap.key_of(slot) : key_slot[slot];
-      if (!(live_key <= cutoff)) {
+      // estimates (every NaN comparison is false, so no ordering check
+      // could catch them).
+      if (!(key_slot[slot] <= cutoff)) {
         return reader.fail("minhash core: retained key above the cutoff");
       }
       if (s.size > degree_cap_) {
@@ -688,16 +719,15 @@ class MinHashCore {
     }
     // The tracked counter must equal the audit re-sum of the loaded pieces —
     // the same invariant the batch equivalence tests fuzz at runtime.
-    const std::uint64_t audit =
-        audit_space_words(table, elem.size(), heap, key_slot.size(), arena,
-                          free_slots.size());
+    const std::uint64_t audit = audit_space_words(
+        table, elem.size(), key_store_words(queue_built, elem.size(), live),
+        arena, free_slots.size());
     if (tracked_space != base_space + policy_space_words + audit ||
         peak_space < tracked_space) {
       return reader.fail("minhash core: space counters disagree with audit");
     }
     if (!reader.end_section()) return false;
     cutoff_ = cutoff;
-    heap_built_ = heap_built;
     stored_edges_ = static_cast<std::size_t>(stored_edges);
     base_space_words_ = static_cast<std::size_t>(base_space);
     tracked_space_words_ = static_cast<std::size_t>(tracked_space);
@@ -708,7 +738,10 @@ class MinHashCore {
     key_slot_ = std::move(key_slot);
     table_ = std::move(table);
     arena_ = std::move(arena);
-    heap_ = std::move(heap);
+    queue_built_ = false;
+    queue_ = BucketQueue<Key>();
+    live_.clear();
+    if (queue_built) move_keys_to_queue();
     return true;
   }
 
@@ -718,7 +751,9 @@ class MinHashCore {
   /// order behind a three-stage prefetch pipeline —
   ///   * kBucketAhead positions ahead: the table bucket;
   ///   * kSlotAhead ahead: a read-only find, then the slot's Span record;
-  ///   * kBlockAhead ahead: the slab word that slot's insert will touch.
+  ///   * kBlockAhead ahead: the slab word that slot's insert will touch,
+  ///     or for an element not found, the queue chunk its commit will
+  ///     write.
   /// The last two stages run once the footprint reaches kLookaheadWords.
   /// Every stage only hints the cache, and each admission still runs the
   /// full live-cutoff check and find-or-insert, so a slot that goes stale
@@ -754,6 +789,8 @@ class MinHashCore {
         const std::uint32_t slot = ahead[at % kSlotAhead];
         if (slot != kNoSlot) {
           arena_.prefetch_insert(span_[slot], set_of(index_at(at)));
+        } else if (queue_built_) {
+          queue_.prefetch_push(keys[index_at(at)]);
         }
       }
       const std::size_t i = index_at(s);
@@ -787,71 +824,144 @@ class MinHashCore {
 
   /// Claims next_slot_id() and makes it live for `elem`/`key`; the table
   /// entry must already exist (find_or_insert or insert stored it). Before
-  /// the first eviction the key lands in the flat key store (one word, no
-  /// sift); after it, in the heap.
+  /// the first eviction the key lands in the flat key store (one word);
+  /// after it, in the queue, and the slot's liveness bit is set.
   void commit_slot(std::uint32_t slot, ElemId elem, Key key) {
     if (free_slots_.empty()) {
       elem_.push_back(elem);
       span_.emplace_back();
-      if (!heap_built_) {
+      if (!queue_built_) {
         key_slot_.push_back(key);
         // Analytic delta, hottest admission shape: +1 elem word, +2 span
         // words (16-byte Span), +1 flat key word.
         adjust_space(4);
       } else {
-        // +1 elem, +2 span; the key lands in the heap (entry + back ptr).
-        const std::size_t heap_before = heap_.space_words();
-        heap_.push(key, slot);
-        adjust_space(3 + delta(heap_before, heap_.space_words()));
+        // +1 elem, +2 span, +2 queue entry, and a liveness word every 64
+        // slots.
+        std::size_t grown = 0;
+        if (live_.size() < words_for_bits(elem_.size())) {
+          live_.push_back(0);
+          grown = 1;
+        }
+        set_live(slot);
+        queue_.push(key, slot);
+        adjust_space(static_cast<std::ptrdiff_t>(5 + grown));
       }
     } else {
-      // Slot reuse: only the free list shrinks (half-word granularity) and
-      // the key store takes the new key.
+      // Slot reuse: the free list shrinks (half-word granularity) and the
+      // key store takes the new key (+2 words for a queue entry).
       const std::size_t free_before = words_for_u32(free_slots_.size());
       free_slots_.pop_back();
       elem_[slot] = elem;
       span_[slot] = EdgeArena::Span{};
-      if (!heap_built_) {
+      const std::size_t free_after = words_for_u32(free_slots_.size());
+      if (!queue_built_) {
         key_slot_[slot] = key;
-        adjust_space(delta(free_before, words_for_u32(free_slots_.size())));
+        adjust_space(delta(free_before, free_after));
       } else {
-        const std::size_t heap_before = heap_.space_words();
-        heap_.push(key, slot);
-        adjust_space(delta(free_before + heap_before,
-                           words_for_u32(free_slots_.size()) +
-                               heap_.space_words()));
+        set_live(slot);
+        queue_.push(key, slot);
+        adjust_space(delta(free_before, free_after + 2));
       }
     }
   }
 
-  /// Materializes the eviction heap from the flat key store (first budget
-  /// overflow, or a query that needs heap order). Eviction order is
-  /// unchanged: pop_max always removes the unique lexicographic max
-  /// (key, slot), whatever the heap's internal layout. The net space swap
-  /// (flat words out, heap entries + back pointers in) is applied as one
-  /// delta so no transient double-count hits the peak.
-  void ensure_heap() {
-    if (heap_built_) return;
-    const std::size_t before = heap_.space_words() + key_slot_.size();
-    for (std::uint32_t slot = 0;
-         slot < static_cast<std::uint32_t>(key_slot_.size()); ++slot) {
-      if (key_slot_[slot] != infinite_key_) heap_.push(key_slot_[slot], slot);
-    }
-    key_slot_.clear();
-    key_slot_.shrink_to_fit();
-    heap_built_ = true;
-    adjust_space(delta(before, heap_.space_words() + key_slot_.size()));
+  /// Moves the flat key store into the eviction queue (first budget
+  /// overflow). Eviction order is that of any max-(key, slot) queue: the
+  /// layout never changes which entry pops. The net space swap (flat words
+  /// out, queue entries and liveness bits in) is one delta, so no
+  /// transient double-count hits the peak.
+  void ensure_queue() {
+    if (queue_built_) return;
+    const std::size_t before = key_slot_.size();
+    move_keys_to_queue();
+    adjust_space(delta(before, 2 * queue_.size() + live_.size()));
   }
 
+  /// ensure_queue()'s move without the meter (the loader restores the
+  /// saved counters instead).
+  void move_keys_to_queue() {
+    live_.assign(words_for_bits(key_slot_.size()), 0);
+    // assign_from visits twice; setting a bit twice is harmless.
+    queue_.assign_from([this](auto&& fn) {
+      for (std::uint32_t slot = 0;
+           slot < static_cast<std::uint32_t>(key_slot_.size()); ++slot) {
+        if (key_slot_[slot] == infinite_key_) continue;
+        set_live(slot);
+        fn(key_slot_[slot], slot);
+      }
+    });
+    key_slot_.clear();
+    key_slot_.shrink_to_fit();
+    queue_built_ = true;
+  }
+
+  /// Calls `fn(slot)` on every live slot in ascending order: a scan of the
+  /// flat keys, or of the liveness words' set bits once the queue exists.
+  template <typename Fn>
+  void for_each_live_slot(Fn&& fn) const {
+    if (!queue_built_) {
+      for (std::uint32_t slot = 0; slot < key_slot_.size(); ++slot) {
+        if (key_slot_[slot] != infinite_key_) fn(slot);
+      }
+      return;
+    }
+    for (std::size_t word = 0; word < live_.size(); ++word) {
+      for (std::uint64_t bits = live_[word]; bits != 0; bits &= bits - 1) {
+        fn(static_cast<std::uint32_t>(64 * word + std::countr_zero(bits)));
+      }
+    }
+  }
+
+  /// Keys by slot, infinite_key_ marking dead slots: the flat store itself,
+  /// or once the queue exists its entries scattered into `scratch`.
+  const std::vector<Key>& keys_by_slot(std::vector<Key>& scratch) const {
+    if (!queue_built_) return key_slot_;
+    scratch.assign(elem_.size(), infinite_key_);
+    queue_.for_each([&scratch](const auto& entry) {
+      scratch[entry.slot] = entry.key;
+    });
+    return scratch;
+  }
+
+  void set_live(std::uint32_t slot) {
+    live_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  }
+
+  void clear_live(std::uint32_t slot) {
+    live_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+  }
+
+  /// Pops the max-key element and releases it. Victim lookahead: the open
+  /// bucket is sorted, so its tail names the next victims — prefetch the
+  /// slot records (element id, Span) of the one kVictimRecordAhead pops
+  /// away and the table bucket of the one kVictimTableAhead away, whose
+  /// element id the earlier hint brought in. Hints only: a push that lands
+  /// in the open bucket shifts them, and nothing else changes.
   void evict_max() {
-    const auto [key, slot] = heap_.pop_max();
+    const auto [key, slot] = queue_.pop_max();
+    const auto open = queue_.open();
+    if (open.size() >= kVictimRecordAhead) {
+      const std::uint32_t ahead = open[open.size() - kVictimRecordAhead].slot;
+#if defined(__GNUC__) || defined(__clang__)
+      __builtin_prefetch(elem_.data() + ahead);
+      __builtin_prefetch(span_.data() + ahead);
+#endif
+    }
+    if (open.size() >= kVictimTableAhead) {
+      table_.prefetch(elem_[open[open.size() - kVictimTableAhead].slot]);
+    }
     lower_cutoff(key);
+    clear_live(slot);
     release_slot(slot, /*freed_key_words=*/2);
   }
 
+  /// Destroys a live slot outside eviction. In queue mode the caller owns
+  /// the slot's queue entry: purge_at_or_above_cutoff already popped it,
+  /// purge(pred) drops it when it lays the queue out again.
   void destroy_slot(std::uint32_t slot) {
-    if (heap_built_) {
-      heap_.remove(slot);
+    if (queue_built_) {
+      clear_live(slot);
       release_slot(slot, /*freed_key_words=*/2);
     } else {
       key_slot_[slot] = infinite_key_;  // dead marker; word stays counted
@@ -860,10 +970,10 @@ class MinHashCore {
   }
 
   /// Shared tail of eviction/purge: returns the slot's storage to the free
-  /// lists. `freed_key_words` is the heap entry already removed (2 words,
-  /// or 0 pre-heap where the flat key word remains counted); the freed edge
-  /// block stays in the slab and the free-slot list may round up half a
-  /// word, so the net is applied as one delta (no transient peak).
+  /// lists. `freed_key_words` is the queue entry removed (2 words, or 0
+  /// before the queue, where the flat key word remains counted); the freed
+  /// edge block stays in the slab and the free-slot list may round up half
+  /// a word, so the net is applied as one delta (no transient peak).
   void release_slot(std::uint32_t slot, std::size_t freed_key_words) {
     const std::size_t free_before = words_for_u32(free_slots_.size());
     stored_edges_ -= span_[slot].size;
@@ -874,6 +984,10 @@ class MinHashCore {
                        words_for_u32(free_slots_.size())));
   }
 
+  /// Victim lookahead distances, in pops (see evict_max).
+  static constexpr std::size_t kVictimRecordAhead = 8;
+  static constexpr std::size_t kVictimTableAhead = 4;
+
   std::size_t degree_cap_;
   std::size_t edge_budget_;
   Key infinite_key_;
@@ -881,10 +995,11 @@ class MinHashCore {
 
   FlatElemTable table_;
   EdgeArena arena_;
-  SlotHeap<Key> heap_;        // (key, slot) entries once heap_built_
-  std::vector<Key> key_slot_; // flat key store until the first eviction;
-                              // infinite_key_ marks dead slots
-  bool heap_built_ = false;
+  std::vector<Key> key_slot_;     // flat key store until the first eviction;
+                                  // infinite_key_ marks dead slots
+  BucketQueue<Key> queue_;        // (key, slot) entries once queue_built_
+  std::vector<std::uint64_t> live_;  // liveness bit per slot, queue mode
+  bool queue_built_ = false;
   std::vector<ElemId> elem_;
   std::vector<EdgeArena::Span> span_;
   std::vector<std::uint32_t> free_slots_;
@@ -896,10 +1011,12 @@ class MinHashCore {
 
   // Reusable scratch (not part of the sketch's analytic footprint):
   // admit_batch survivor indices and per-position bucket hashes, merge_from
-  // union staging, build_csr compaction map and per-set cursors.
+  // union staging, cutoff-purge victims, build_csr compaction map and
+  // per-set cursors.
   std::vector<std::uint32_t> survivors_;
   std::vector<std::uint64_t> bucket_hashes_;
   std::vector<SetId> merge_scratch_;
+  std::vector<std::uint32_t> victims_;
   mutable std::vector<std::uint32_t> csr_compact_;
   mutable std::vector<std::size_t> csr_cursor_;
 };

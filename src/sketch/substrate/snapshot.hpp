@@ -38,7 +38,7 @@ namespace covstream {
 /// Format-wide constants (docs/FORMATS.md §1). Bump kSnapshotVersion on any
 /// layout change; readers reject every version they were not built for.
 inline constexpr char kSnapshotMagic[8] = {'C', 'V', 'S', 'N', 'A', 'P', '0', '1'};
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 inline constexpr std::uint32_t kSnapshotEndianMarker = 0x0A0B0C0Du;
 
 /// Top-level object tags (docs/FORMATS.md §2). One per snapshottable type.

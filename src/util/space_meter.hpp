@@ -19,6 +19,9 @@ namespace covstream {
 /// Words for `n` 4-byte values (SetId slabs, slot indices) packed 2 per word.
 constexpr std::size_t words_for_u32(std::size_t n) { return (n + 1) / 2; }
 
+/// Words for `n` bits (per-slot liveness bits) packed 64 per word.
+constexpr std::size_t words_for_bits(std::size_t n) { return (n + 63) / 64; }
+
 /// Words for `n` open-addressing buckets (8-byte ElemId + 4-byte slot).
 constexpr std::size_t words_for_buckets(std::size_t n) { return (n * 3 + 1) / 2; }
 

@@ -2,7 +2,7 @@
 //
 // The contract under test: load(save(S)) is bit-for-bit S — identical query
 // results, identical tracked/peak space, and identical behavior when
-// ingestion CONTINUES past the restore point (cutoff, heap order, arena free
+// ingestion CONTINUES past the restore point (cutoff, eviction order, arena free
 // lists, and table geometry all survive). Fuzzed over random streams, with
 // explicit budgets that cross saturation mid-stream, for all four sketch
 // types and the ladder (shared-key and mixed-seed). Corrupt, truncated, and
@@ -90,7 +90,8 @@ TEST(Snapshot, SubsampleRoundTripFuzz) {
   for (int trial = 0; trial < 20; ++trial) {
     const SetId n = 5 + static_cast<SetId>(rng.next_below(std::uint64_t{40}));
     // Budgets small enough that most trials saturate (the interesting case:
-    // finite cutoff, heap built, arena churn) but some stay unsaturated.
+    // finite cutoff, eviction queue built, arena churn) but some stay
+    // unsaturated.
     const std::size_t budget = 8 + rng.next_below(std::uint64_t{400});
     const SketchParams params = small_params(n, rng.next(), budget);
     const std::vector<Edge> edges =
@@ -122,7 +123,7 @@ TEST(Snapshot, SubsampleRoundTripFuzz) {
     expect_image_equal(original, *loaded, "re-serialized image");
 
     // ...and identical behavior when ingestion continues past it (this is
-    // what proves cutoff/heap/free lists were restored, not just the view).
+    // what proves cutoff/keys/free lists were restored, not just the view).
     original.update_chunk(std::span<const Edge>(edges.data() + split,
                                                 edges.size() - split));
     loaded->update_chunk(std::span<const Edge>(edges.data() + split,
@@ -343,7 +344,7 @@ TEST(Snapshot, ForgedPayloadWithValidChecksumFails) {
   sketch.update_chunk(fuzz_edges(rng, 14, 1200));
   std::vector<std::uint8_t> image = to_bytes(sketch);
   // Locate the 'CORE' section tag, then skip tag+len+cap+budget+inf+cutoff+
-  // heap_built to the stored_edges field and bump it.
+  // queue_built to the stored_edges field and bump it.
   const std::uint32_t core_tag = snapshot_tag('C', 'O', 'R', 'E');
   std::size_t core_at = 0;
   for (std::size_t i = 32; i + 4 <= image.size(); ++i) {
@@ -374,6 +375,17 @@ TEST(Snapshot, VersionOneImageIsRefused) {
   std::string error;
   EXPECT_FALSE(from_bytes<SubsampleSketch>(std::move(image), &error));
   EXPECT_NE(error.find("version 1"), std::string::npos) << error;
+}
+
+TEST(Snapshot, VersionTwoImageIsRefused) {
+  // Version 2 kept a saturated core's keys in a 'HEAP' section and no flat
+  // keys; its bytes are refused by the frame check, never reinterpreted.
+  std::vector<std::uint8_t> image = sample_image();
+  const std::uint32_t version_two = 2;
+  std::memcpy(image.data() + 8, &version_two, sizeof version_two);
+  std::string error;
+  EXPECT_FALSE(from_bytes<SubsampleSketch>(std::move(image), &error));
+  EXPECT_NE(error.find("version 2"), std::string::npos) << error;
 }
 
 // ------------------------------------------------------- forged edge lists ----
@@ -443,7 +455,7 @@ ForgeTarget forge_target() {
   target.image = to_bytes(sketch);
   const std::vector<std::uint8_t>& image = target.image;
   // CORE: tag, length, then cap, budget, infinite key, cutoff (8 bytes
-  // each), heap_built (1), stored edges and the three space counters (8
+  // each), queue_built (1), stored edges and the three space counters (8
   // each) — then arr<u64> elem, span_count, the span records.
   const std::size_t core_at = find_tag(image, snapshot_tag('C', 'O', 'R', 'E'), 32);
   const std::size_t elem_at = core_at + 12 + 4 * 8 + 1 + 4 * 8;
@@ -473,6 +485,22 @@ std::string forged_load_error(std::vector<std::uint8_t> image) {
   std::string error;
   EXPECT_FALSE(from_bytes<SubsampleSketch>(std::move(image), &error));
   return error;
+}
+
+TEST(Snapshot, ForgedQueueFlagFails) {
+  // CORE's key-store mode byte sits after tag, length, cap, budget,
+  // infinite key and cutoff. The sample sketch is saturated (mode 1); any
+  // other value than 0 or 1 is refused, not read as "queue".
+  const std::vector<std::uint8_t> image = sample_image();
+  const std::size_t mode_at =
+      find_tag(image, snapshot_tag('C', 'O', 'R', 'E'), 32) + 4 + 8 * 5;
+  ASSERT_EQ(image[mode_at], 1u);
+  for (const std::uint8_t forged : {std::uint8_t{2}, std::uint8_t{255}}) {
+    std::vector<std::uint8_t> bad = image;
+    bad[mode_at] = forged;
+    const std::string error = forged_load_error(std::move(bad));
+    EXPECT_NE(error.find("key-store mode"), std::string::npos) << error;
+  }
 }
 
 TEST(Snapshot, ForgeTargetLoadsUnforged) {

@@ -1,19 +1,24 @@
 // Tests for the flat-storage sketch substrate (src/sketch/substrate/):
-// the open-addressing element table, the pooled edge arena, the indexed
-// slot heap, and the invariants the ported sketches rely on — arena reuse
+// the open-addressing element table, the pooled edge arena, the eviction
+// bucket queue (against a std::set reference), and the invariants the ported sketches rely on — arena reuse
 // under eviction/purge churn, streamed-vs-sharded merge equivalence, and
 // bit-for-bit build_offline regression across seeds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "core/subsample_sketch.hpp"
+#include "hash/hash64.hpp"
+#include "sketch/substrate/bucket_queue.hpp"
 #include "sketch/substrate/edge_arena.hpp"
 #include "sketch/substrate/flat_table.hpp"
 #include "sketch/substrate/minhash_core.hpp"
-#include "sketch/substrate/slot_heap.hpp"
+#include "sketch/substrate/snapshot.hpp"
 #include "stream/arrival_order.hpp"
 #include "util/rng.hpp"
 #include "workloads/generators.hpp"
@@ -260,48 +265,329 @@ TEST(EdgeArena, AssignLongerThanABitmapBlockTakesTheBitmapForm) {
   EXPECT_EQ(contents(arena, span), sets);  // the source is untouched
 }
 
-// ----------------------------------------------------------------- SlotHeap --
+// ------------------------------------------------------------ EvictionQueue --
 
-TEST(SlotHeap, PopsInDescendingKeyOrder) {
-  SlotHeap<std::uint64_t> heap;
-  Rng rng(0x4EA9);
-  std::vector<std::uint64_t> keys;
-  for (std::uint32_t slot = 0; slot < 500; ++slot) {
-    const std::uint64_t key = rng.next();
-    keys.push_back(key);
-    heap.push(key, slot);
-  }
-  std::sort(keys.begin(), keys.end(), std::greater<>());
-  for (const std::uint64_t expected : keys) {
-    ASSERT_EQ(heap.pop_max().key, expected);
-  }
-  EXPECT_TRUE(heap.empty());
+using U64Queue = BucketQueue<std::uint64_t>;
+using KeySlot = std::pair<std::uint64_t, std::uint32_t>;
+
+/// Pops the queue and the reference once each and requires the same max.
+template <typename Key>
+void expect_same_pop(BucketQueue<Key>& queue,
+                     std::set<std::pair<Key, std::uint32_t>>& reference) {
+  ASSERT_FALSE(reference.empty());
+  const auto max = queue.pop_max();
+  EXPECT_EQ(max.key, reference.rbegin()->first);
+  EXPECT_EQ(max.slot, reference.rbegin()->second);
+  reference.erase(std::prev(reference.end()));
+  EXPECT_EQ(queue.size(), reference.size());
 }
 
-TEST(SlotHeap, InPlaceRemovalKeepsOrder) {
-  SlotHeap<std::uint64_t> heap;
-  Rng rng(0x9E4B);
-  std::set<std::pair<std::uint64_t, std::uint32_t>> reference;
-  for (std::uint32_t slot = 0; slot < 300; ++slot) {
-    const std::uint64_t key = rng.next();
-    heap.push(key, slot);
+TEST(EvictionQueue, PopsInDescendingKeyOrder) {
+  Rng rng(0x4EA9);
+  std::vector<U64Queue::Entry> entries;
+  std::set<KeySlot> reference;
+  for (std::uint32_t slot = 0; slot < 5000; ++slot) {
+    entries.push_back({rng.next(), slot});
+    reference.emplace(entries.back().key, slot);
+  }
+  U64Queue queue;
+  queue.assign(entries);
+  while (!reference.empty()) expect_same_pop(queue, reference);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EvictionQueue, CommitsBelowTheCutoffInterleavedWithPops) {
+  // The substrate's pattern: each pop lowers the cutoff to the popped key
+  // and new entries land strictly below it, some in the open bucket (a
+  // sorted insert), most in the chains below it. Pushes above the cutoff
+  // are mixed in too: exactness must not depend on the pattern.
+  Rng rng(0x51C0);
+  std::vector<U64Queue::Entry> entries;
+  std::set<KeySlot> reference;
+  std::uint32_t next_slot = 0;
+  for (; next_slot < 3000; ++next_slot) {
+    entries.push_back({rng.next(), next_slot});
+    reference.emplace(entries.back().key, next_slot);
+  }
+  U64Queue queue;
+  queue.assign(entries);
+  std::uint64_t cutoff = ~0ULL;
+  for (int step = 0; step < 20000; ++step) {
+    if (rng.next_below(std::uint64_t{2}) == 0 && !reference.empty()) {
+      cutoff = reference.rbegin()->first;
+      expect_same_pop(queue, reference);
+      continue;
+    }
+    const std::uint64_t key = rng.next_below(std::uint64_t{10}) == 0
+                                  ? rng.next()
+                                  : rng.next_below(cutoff);
+    queue.push(key, next_slot);
+    reference.emplace(key, next_slot++);
+  }
+  while (!reference.empty()) expect_same_pop(queue, reference);
+}
+
+TEST(EvictionQueue, EqualKeysPopByDescendingSlot) {
+  // Weighted clocks are doubles; equal keys on distinct slots must pop by
+  // descending slot, the lexicographic (key, slot) tie-break.
+  Rng rng(0xD0B1);
+  BucketQueue<double> queue;
+  std::set<std::pair<double, std::uint32_t>> reference;
+  std::vector<BucketQueue<double>::Entry> entries;
+  for (std::uint32_t slot = 0; slot < 2000; ++slot) {
+    const double key = 0.25 * static_cast<double>(rng.next_below(std::uint64_t{40}));
+    entries.push_back({key, slot});
     reference.emplace(key, slot);
   }
-  // Remove a random half in place.
-  for (std::uint32_t slot = 0; slot < 300; slot += 2) {
-    ASSERT_TRUE(heap.contains(slot));
-    reference.erase({heap.key_of(slot), slot});
-    heap.remove(slot);
-    EXPECT_FALSE(heap.contains(slot));
+  queue.assign(entries);
+  for (std::uint32_t slot = 2000; slot < 3000; ++slot) {
+    expect_same_pop(queue, reference);
+    const double key = reference.empty() ? 0.0 : reference.rbegin()->first;
+    queue.push(key, slot);  // ties with the current max
+    reference.emplace(key, slot);
   }
-  while (!heap.empty()) {
-    const auto max = heap.pop_max();
-    ASSERT_FALSE(reference.empty());
-    EXPECT_EQ(max.key, reference.rbegin()->first);
-    EXPECT_EQ(max.slot, reference.rbegin()->second);
-    reference.erase(std::prev(reference.end()));
+  while (!reference.empty()) expect_same_pop(queue, reference);
+}
+
+TEST(EvictionQueue, RelaysOutWhenTheOpenBucketFallsBelowAnEighth) {
+  // Uniform keys over [0, 2^40); popping the top seven eighths and more
+  // drives the open bucket below B/8, and the next opening lays the queue
+  // out again over the live range — without changing the pop order.
+  Rng rng(0x1A70);
+  std::vector<U64Queue::Entry> entries;
+  std::set<KeySlot> reference;
+  for (std::uint32_t slot = 0; slot < 8000; ++slot) {
+    entries.push_back({rng.next_below(std::uint64_t{1} << 40), slot});
+    reference.emplace(entries.back().key, slot);
   }
-  EXPECT_TRUE(reference.empty());
+  U64Queue queue;
+  queue.assign(entries);
+  ASSERT_EQ(queue.layouts(), 1u);
+  // 128 buckets over [0, ~2^40): keys at or above 2^37 + 2^34 sit in
+  // bucket 18 or higher.
+  while (reference.rbegin()->first >=
+         (std::uint64_t{1} << 37) + (std::uint64_t{1} << 34)) {
+    expect_same_pop(queue, reference);
+  }
+  EXPECT_EQ(queue.layouts(), 1u);
+  while (reference.size() > 10) expect_same_pop(queue, reference);
+  EXPECT_GE(queue.layouts(), 2u);
+  while (!reference.empty()) expect_same_pop(queue, reference);
+}
+
+TEST(EvictionQueue, RetainDropsEntriesAndKeepsOrder) {
+  Rng rng(0x9E4B);
+  std::vector<U64Queue::Entry> entries;
+  std::set<KeySlot> reference;
+  for (std::uint32_t slot = 0; slot < 3000; ++slot) {
+    entries.push_back({rng.next(), slot});
+    reference.emplace(entries.back().key, slot);
+  }
+  U64Queue queue;
+  queue.assign(entries);
+  for (int pops = 0; pops < 40; ++pops) expect_same_pop(queue, reference);
+  while (queue.open().size() < 2) expect_same_pop(queue, reference);
+  // retain runs with entries left in the open bucket
+  queue.retain([](std::uint32_t slot) { return slot % 2 == 0; });
+  std::erase_if(reference, [](const KeySlot& e) { return e.second % 2 != 0; });
+  EXPECT_EQ(queue.size(), reference.size());
+  EXPECT_EQ(queue.max_key(), reference.rbegin()->first);
+  while (!reference.empty()) expect_same_pop(queue, reference);
+}
+
+/// An independent MinHashCore model over std containers: admission below
+/// the cutoff, degree cap, max-(key, slot) eviction through a std::set, the
+/// same free-list discipline, and ascending-slot purges.
+template <typename Key>
+class ReferenceCore {
+ public:
+  ReferenceCore(std::size_t cap, std::size_t budget, Key infinite)
+      : cap_(cap), budget_(budget), cutoff_(infinite) {}
+
+  void update(ElemId elem, Key key, SetId set) {
+    if (key >= cutoff_) return;
+    std::uint32_t slot;
+    if (const auto it = slot_of_.find(elem); it != slot_of_.end()) {
+      slot = it->second;
+    } else {
+      if (free_.empty()) {
+        slot = static_cast<std::uint32_t>(elem_.size());
+        elem_.push_back(elem);
+        sets_.emplace_back();
+        key_.push_back(key);
+      } else {
+        slot = free_.back();
+        free_.pop_back();
+        elem_[slot] = elem;
+        key_[slot] = key;
+      }
+      slot_of_[elem] = slot;
+      order_.emplace(key, slot);
+    }
+    if (sets_[slot].size() >= cap_ || !sets_[slot].insert(set).second) return;
+    ++stored_;
+    while (stored_ > budget_ && order_.size() > 1) {
+      const auto [victim_key, victim] = *order_.rbegin();
+      cutoff_ = std::min(cutoff_, victim_key);
+      release(victim);
+    }
+  }
+
+  template <typename Pred>
+  void purge(Pred&& pred) {
+    for (std::uint32_t slot = 0; slot < elem_.size(); ++slot) {
+      if (alive(slot) && pred(elem_[slot])) release(slot);
+    }
+  }
+
+  bool alive(std::uint32_t slot) const {
+    return slot < elem_.size() && order_.count({key_[slot], slot}) != 0;
+  }
+  Key cutoff() const { return cutoff_; }
+  std::size_t stored() const { return stored_; }
+  std::size_t slots() const { return elem_.size(); }
+  std::size_t live() const { return order_.size(); }
+  Key max_key() const { return order_.rbegin()->first; }
+
+ private:
+  void release(std::uint32_t slot) {
+    order_.erase({key_[slot], slot});
+    stored_ -= sets_[slot].size();
+    sets_[slot].clear();
+    slot_of_.erase(elem_[slot]);
+    free_.push_back(slot);
+  }
+
+  std::size_t cap_, budget_;
+  Key cutoff_;
+  std::map<ElemId, std::uint32_t> slot_of_;
+  std::vector<ElemId> elem_;
+  std::vector<std::set<SetId>> sets_;
+  std::vector<Key> key_;
+  std::vector<std::uint32_t> free_;
+  std::set<std::pair<Key, std::uint32_t>> order_;
+  std::size_t stored_ = 0;
+};
+
+template <typename Key>
+std::vector<std::uint8_t> core_image(const MinHashCore<Key>& core) {
+  SnapshotWriter writer(SnapshotType::kSubsampleSketch);
+  core.save(writer);
+  return writer.finish();
+}
+
+template <typename Key>
+MinHashCore<Key> reload(const MinHashCore<Key>& core, SetId num_sets,
+                        std::size_t cap, std::size_t budget, Key infinite) {
+  MinHashCore<Key> loaded(num_sets, cap, budget, infinite);
+  SnapshotReader reader(core_image(core));
+  EXPECT_TRUE(loaded.load(reader)) << reader.error();
+  return loaded;
+}
+
+/// Drives a core, its every-step reload and the reference through the same
+/// updates (`step(i)` returns the i-th (elem, key, set) or a purge request)
+/// and compares liveness, cutoff, edges, max key, images and the meter.
+template <typename Key, typename Step>
+void run_against_reference(SetId num_sets, std::size_t cap, std::size_t budget,
+                           Key infinite, int steps, Step&& step) {
+  MinHashCore<Key> core(num_sets, cap, budget, infinite);
+  MinHashCore<Key> reloaded(num_sets, cap, budget, infinite);
+  ReferenceCore<Key> reference(cap, budget, infinite);
+  for (int i = 0; i < steps; ++i) {
+    const auto [elem, key, set, purge_modulus] = step(i);
+    if (purge_modulus != 0) {
+      const auto pred = [m = purge_modulus](ElemId e) { return e % m == 0; };
+      core.purge(pred);
+      reloaded.purge(pred);
+      reference.purge(pred);
+    } else {
+      for (MinHashCore<Key>* target : {&core, &reloaded}) {
+        bool created = false;
+        const std::uint32_t slot = target->admit(elem, key, created);
+        if (slot != MinHashCore<Key>::kNoSlot && target->add_edge(slot, set)) {
+          target->enforce_budget();
+        }
+      }
+      reference.update(elem, key, set);
+    }
+    reloaded = reload(reloaded, num_sets, cap, budget, infinite);
+    ASSERT_EQ(core_image(core), core_image(reloaded)) << "step " << i;
+    ASSERT_EQ(core.cutoff(), reference.cutoff()) << "step " << i;
+    ASSERT_EQ(core.stored_edges(), reference.stored()) << "step " << i;
+    ASSERT_EQ(core.live_elements(), reference.live()) << "step " << i;
+    ASSERT_EQ(core.slot_count(), reference.slots()) << "step " << i;
+    for (std::uint32_t slot = 0; slot < core.slot_count(); ++slot) {
+      ASSERT_EQ(core.alive(slot), reference.alive(slot))
+          << "step " << i << " slot " << slot;
+    }
+    if (reference.live() > 0) {
+      ASSERT_EQ(core.max_live_key(), reference.max_key()) << "step " << i;
+    }
+    ASSERT_EQ(core.tracked_space_words(), core.space_words()) << "step " << i;
+    ASSERT_EQ(reloaded.tracked_space_words(), core.tracked_space_words());
+  }
+}
+
+struct CoreStep {
+  ElemId elem = 0;
+  std::uint64_t key = 0;
+  SetId set = 0;
+  std::uint64_t purge_modulus = 0;  // nonzero: purge elements divisible by it
+};
+
+TEST(EvictionQueue, CoreMatchesReferenceThroughPurgeAndRelayout) {
+  // 600 elements, budget 60: the cutoff falls far below an eighth of the
+  // first layout's range, so the queue lays itself out again mid-run; two
+  // purges land while the open bucket holds entries.
+  Rng rng(0xC0DE);
+  const Mix64Hash hash(0x77);
+  run_against_reference<std::uint64_t>(
+      30, 4, 60, ~0ULL, 3000, [&](int i) -> CoreStep {
+        if (i == 1200 || i == 2100) return {0, 0, 0, 3};
+        const ElemId e = rng.next_below(std::uint64_t{600});
+        return {e, hash(e), static_cast<SetId>(rng.next_below(std::uint64_t{30})),
+                0};
+      });
+}
+
+TEST(EvictionQueue, WeightedEqualKeysMatchReference) {
+  // Double keys with many ties on distinct slots (a handful of clock values
+  // shared by many elements), evicted by descending (key, slot).
+  Rng rng(0xE0A1);
+  run_against_reference<double>(
+      20, 3, 40, std::numeric_limits<double>::infinity(), 2000,
+      [&](int i) -> std::tuple<ElemId, double, SetId, std::uint64_t> {
+        if (i == 900) return {0, 0.0, 0, 4};
+        const ElemId e = rng.next_below(std::uint64_t{300});
+        return {e, 0.125 * static_cast<double>(e % 16),
+                static_cast<SetId>(rng.next_below(std::uint64_t{20})), 0};
+      });
+}
+
+TEST(EvictionQueue, LoneElementOverTheBudgetIsNeverEvicted) {
+  // One element's capped degree (6) alone exceeds the budget (4): the
+  // queue is built at the overflow with that single entry and nothing is
+  // evicted. A second element with a larger key evicts itself, a smaller
+  // one evicts the first.
+  const std::vector<CoreStep> steps = {
+      {7, 500, 0}, {7, 500, 1}, {7, 500, 2}, {7, 500, 3}, {7, 500, 4},
+      {7, 500, 5}, {7, 500, 6}, {9, 900, 1}, {9, 900, 2}, {3, 100, 0},
+      {3, 100, 1}, {5, 50, 2},  {7, 500, 7}, {3, 100, 2}};
+  run_against_reference<std::uint64_t>(
+      10, 6, 4, ~0ULL, static_cast<int>(steps.size()),
+      [&](int i) { return steps[static_cast<std::size_t>(i)]; });
+  MinHashCore<std::uint64_t> core(10, 6, 4, ~0ULL);
+  for (SetId set = 0; set < 6; ++set) {
+    bool created = false;
+    const std::uint32_t slot = core.admit(7, 500, created);
+    ASSERT_TRUE(core.add_edge(slot, set));
+    core.enforce_budget();
+  }
+  EXPECT_EQ(core.live_elements(), 1u);
+  EXPECT_EQ(core.stored_edges(), 6u);
+  EXPECT_FALSE(core.saturated());
+  EXPECT_EQ(core.max_live_key(), 500u);
 }
 
 // -------------------------------------------------------------- MinHashCore --
