@@ -1,9 +1,8 @@
 #include "core/distributed.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
-
-#include "parallel/parallel_for.hpp"
 
 namespace covstream {
 
@@ -210,73 +209,81 @@ void ShardedSketchBuilder::consume(EdgeStream& stream, std::size_t batch_edges) 
   const StreamEngine::Router router =
       make_shard_router(ShardRouting::kByElementHash, shards_.size(),
                         shard_router_seed(shards_.front().params()));
+  // Position 0 is the shards as they stand, without a histogram.
+  for (std::vector<ShardRecord>& records : records_) {
+    records.assign(shards_.size(), ShardRecord{});
+  }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    publish(s, records_[0][s], /*histogram=*/false, 0);
+  }
   engine.run_partitioned(
       stream, {}, shards_.size(), router,
       [this](std::size_t s, std::span<const Edge> chunk) {
         shards_[s].update_chunk(chunk);
       },
-      {bound_every_, [this] { share_cutoff(); }});
+      {bound_every_,
+       [this](std::size_t s, std::size_t position) { share_cutoff(s, position); }});
 }
 
-void ShardedSketchBuilder::share_cutoff() {
-  // Hash routing gives each element's capped, arrival-ordered edge list to
-  // exactly one shard, so every edge counted below is one the single-stream
-  // sketch would also hold. Once those with key below x exceed the budget,
-  // the final hash prefix (§5.1) excludes every key at or above x.
+void ShardedSketchBuilder::share_cutoff(std::size_t s, std::size_t position) {
+  // Every hook of this position reads the same records of the last one, so
+  // each derives the same bound on its own.
+  const std::vector<ShardRecord>& last = records_[(position - 1) % 2];
   std::size_t edges = 0;
   std::size_t elements = 0;
   std::uint64_t top = 0;
-  for (const SubsampleSketch& shard : shards_) {
-    edges += shard.stored_edges();
-    elements += shard.retained_elements();
-    top = std::max(top, shard.admission_cutoff());
+  for (const ShardRecord& record : last) {
+    edges += record.edges;
+    elements += record.elements;
+    top = std::max(top, record.cutoff);
   }
-  // Rescan only after a budget/16 gain, so the scan's cost per stored edge
-  // is bounded. One element alone may exceed the budget (it is never
-  // evicted); bounding it would mark an unsaturated sketch saturated.
-  if (edges <= budget_ || elements < 2 ||
-      edges < bounded_edges_ + bound_every_) {
-    return;
-  }
-  const std::size_t shards = shards_.size();
-  const std::uint64_t width = top / kBoundBuckets + 1;
-  std::vector<std::size_t> histogram(shards * kBoundBuckets, 0);  // per shard
-  parallel_for_blocked(
-      pool_, shards,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t s = begin; s < end; ++s) {
-          std::size_t* counts = histogram.data() + s * kBoundBuckets;
-          shards_[s].for_each_retained([&](std::uint64_t key, std::size_t n) {
-            counts[std::min<std::uint64_t>(key / width, kBoundBuckets - 1)] += n;
-          });
-        }
-      },
-      /*grain=*/1);
-  // The bucket where the running total first exceeds the budget; its upper
-  // edge x keeps the minimum key, which lies in this bucket or an earlier one.
-  std::size_t below = 0;
-  std::size_t bucket = 0;
-  for (; bucket < kBoundBuckets; ++bucket) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      below += histogram[s * kBoundBuckets + bucket];
+  // Hash routing gives each element's capped, arrival-ordered edge list to
+  // exactly one shard, so every edge the histograms counted is one the
+  // single-stream sketch also held at the last position, and capped counts
+  // only grow. Once those with key below x exceed the budget, the final
+  // hash prefix (§5.1) excludes every key at or above x, so applying x a
+  // period late is as exact as applying it then. One element alone may
+  // exceed the budget (it is never evicted); bounding it would mark an
+  // unsaturated sketch saturated.
+  std::uint64_t cutoff = top;
+  if (edges > budget_ && elements >= 2 && !last.front().histogram.empty()) {
+    // The bucket where the running total first exceeds the budget; its
+    // upper edge keeps the minimum key, which lies in this bucket or an
+    // earlier one. The last bucket's edge is at or above the top cutoff:
+    // nothing to lower.
+    std::size_t below = 0;
+    std::size_t bucket = 0;
+    for (; bucket < kBoundBuckets; ++bucket) {
+      for (const ShardRecord& record : last) below += record.histogram[bucket];
+      if (below > budget_) break;
     }
-    if (below > budget_) break;
+    if (bucket + 1 < kBoundBuckets) {
+      cutoff = std::min(top, std::uint64_t{bucket + 1} << last.front().shift);
+    }
   }
-  // The last bucket's edge is the top cutoff itself: nothing to lower.
-  if (bucket + 1 >= kBoundBuckets) return;
-  const std::uint64_t cutoff = (bucket + 1) * width;
-  parallel_for_blocked(
-      pool_, shards,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t s = begin; s < end; ++s) {
-          shards_[s].lower_admission_cutoff(cutoff);
-        }
-      },
-      /*grain=*/1);
-  bounded_edges_ = 0;
-  for (const SubsampleSketch& shard : shards_) {
-    bounded_edges_ += shard.stored_edges();
-  }
+  shards_[s].lower_admission_cutoff(cutoff);
+  if (s == 0 && cutoff < top) ++bounds_applied_;
+  // A period adds at most bound_every_ stored edges, so only then can the
+  // shards hold more than the budget at this position. Every shard's live
+  // keys now lie below `cutoff`: buckets of 2^shift cover them in 4096.
+  const int shift =
+      std::max(0, static_cast<int>(std::bit_width(cutoff)) - kBoundBucketBits);
+  publish(s, records_[position % 2][s], edges + bound_every_ > budget_, shift);
+}
+
+void ShardedSketchBuilder::publish(std::size_t s, ShardRecord& record,
+                                   bool histogram, int shift) const {
+  const SubsampleSketch& shard = shards_[s];
+  record.edges = shard.stored_edges();
+  record.elements = shard.retained_elements();
+  record.cutoff = shard.admission_cutoff();
+  record.shift = shift;
+  record.histogram.clear();
+  if (!histogram) return;
+  record.histogram.resize(kBoundBuckets, 0);
+  shard.for_each_retained([&](std::uint64_t key, std::size_t n) {
+    record.histogram[std::min<std::uint64_t>(key >> shift, kBoundBuckets - 1)] += n;
+  });
 }
 
 std::size_t ShardedSketchBuilder::max_shard_space_words() const {

@@ -10,10 +10,11 @@
 //    the batched stream engine deals edges to shards by element hash, shards
 //    update concurrently via the ThreadPool, and finalize() runs the
 //    reduction tree. Because the shards share one process, they also share
-//    one admission cutoff: at fixed stream positions the builder finds the
-//    smallest key below which the shards' retained edges already exceed the
-//    budget, and every shard evicts what lies at or above it. Each shard then
-//    holds about budget/N edges instead of the budget.
+//    one admission cutoff: at fixed stream positions each shard publishes a
+//    key histogram, and one position later every shard evicts what lies at
+//    or above the smallest key below which the published retained edges
+//    already exceeded the budget. Each shard then holds about budget/N
+//    edges instead of the budget.
 //
 //  * Multi-process: N `covstream_cli --cmd=worker` processes each ingest the
 //    slice of the stream a shared router assigns them
@@ -38,6 +39,7 @@
 // kRoundRobin remains a SHRD routing value that files may name.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -136,13 +138,17 @@ class ShardedSketchBuilder {
 
   /// Consumes a whole stream through the engine's partitioned fan-out, routed
   /// by element hash (shard updates parallelized when a pool is given), and
-  /// applies the shared cutoff bound once every ⌈budget/16⌉ routed edges.
-  /// `batch_edges` = 0 picks the engine default; it never changes the
-  /// shards' state.
+  /// runs the shared cutoff bound every ⌈budget/16⌉ routed edges, one period
+  /// late (DESIGN.md §5.14). `batch_edges` = 0 picks the engine default; it
+  /// never changes the shards' state.
   void consume(EdgeStream& stream, std::size_t batch_edges = 0);
 
   /// Per-worker peak space (what each machine pays before the reduce).
   std::size_t max_shard_space_words() const;
+
+  /// Barrier positions at which a shared cutoff lowered the shards' highest
+  /// published cutoff, over every consume() so far.
+  std::size_t bounds_applied() const { return bounds_applied_; }
 
   /// Reduces all shards into one sketch (pairwise merge tree — the fan_in=2
   /// hierarchical_merge). The builder is consumed: shards are left empty.
@@ -150,19 +156,37 @@ class ShardedSketchBuilder {
 
  private:
   /// Histogram buckets the shared bound resolves keys into.
-  static constexpr std::size_t kBoundBuckets = 4096;
+  static constexpr int kBoundBucketBits = 12;
+  static constexpr std::size_t kBoundBuckets = std::size_t{1} << kBoundBucketBits;
 
-  /// The barrier hook: once the shards have gained bound_every_ stored edges
-  /// since the last bound and hold more than the budget, lowers every
-  /// shard's cutoff to the smallest bucket edge below which their retained
-  /// edges exceed the budget.
-  void share_cutoff();
+  /// What one shard's hook publishes at a barrier position: its totals and,
+  /// when the shards may hold more than the budget there, the stored edges
+  /// of its live keys in buckets of 2^shift (empty otherwise).
+  struct ShardRecord {
+    std::size_t edges = 0;
+    std::size_t elements = 0;
+    std::uint64_t cutoff = 0;
+    int shift = 0;
+    std::vector<std::size_t> histogram;
+  };
+
+  /// The barrier hook of shard s at position j: lowers the shard's cutoff
+  /// to the bound the records of j−1 imply, then publishes its record for j.
+  void share_cutoff(std::size_t s, std::size_t position);
+
+  /// Records shard s's totals, and with `histogram` its key histogram.
+  void publish(std::size_t s, ShardRecord& record, bool histogram,
+               int shift) const;
 
   std::vector<SubsampleSketch> shards_;
   ThreadPool* pool_;
   std::size_t budget_;
-  std::size_t bound_every_;       // ⌈budget/16⌉: barrier spacing and rescan gain
-  std::size_t bounded_edges_ = 0; // shards' stored edges after the last bound
+  std::size_t bound_every_;  // ⌈budget/16⌉: barrier spacing
+  /// Per shard, the records of the last two positions. A hook at j reads
+  /// records_[(j−1) % 2] and writes records_[j % 2]; the hooks of j+1, which
+  /// overwrite what it read, run only once every hook of j has returned.
+  std::array<std::vector<ShardRecord>, 2> records_;
+  std::size_t bounds_applied_ = 0;
 };
 
 }  // namespace covstream

@@ -151,8 +151,9 @@ class SubsampleSketch {
     core_.purge(pred);
   }
 
-  /// Calls `fn(key, stored_edges)` for every retained element: its raw
-  /// admission key (the element hash) and how many edges it stores.
+  /// Calls `fn(key, stored_edges)` for every retained element, in no
+  /// particular order: its raw admission key (the element hash) and how
+  /// many edges it stores.
   template <typename Fn>
   void for_each_retained(Fn&& fn) const {
     core_.for_each_live(std::forward<Fn>(fn));

@@ -346,15 +346,21 @@ class MinHashCore {
     return arena_.any_of(span_[slot], std::forward<Pred>(pred));
   }
 
-  /// Calls `fn(key, stored_edges)` once per live slot, in slot order — a
-  /// read-only scan (the sharded builder histograms shard keys with it).
+  /// Calls `fn(key, stored_edges)` once per live slot, in no particular
+  /// order — a read-only scan of the flat key store, or of the queue's
+  /// entries once it exists (the sharded builder histograms shard keys
+  /// with it).
   template <typename Fn>
   void for_each_live(Fn&& fn) const {
-    std::vector<Key> scratch;
-    const std::vector<Key>& keys = keys_by_slot(scratch);
+    if (queue_built_) {
+      queue_.for_each([&](const auto& entry) {
+        fn(entry.key, std::size_t{span_[entry.slot].size});
+      });
+      return;
+    }
     for (std::uint32_t slot = 0; slot < slot_count(); ++slot) {
-      if (keys[slot] != infinite_key_) {
-        fn(keys[slot], std::size_t{span_[slot].size});
+      if (key_slot_[slot] != infinite_key_) {
+        fn(key_slot_[slot], std::size_t{span_[slot].size});
       }
     }
   }

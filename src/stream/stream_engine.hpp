@@ -14,17 +14,19 @@
 //  * run_partitioned— a router owns each edge to exactly one shard (the
 //                     distributed builder's hash partitioning by element,
 //                     or a round-robin deal by arrival index); an optional
-//                     barrier hook runs a cross-shard step at fixed stream
-//                     positions (the builder's shared cutoff bound).
+//                     per-shard barrier hook runs at fixed stream positions
+//                     (the builder's shared cutoff bound).
 //
-// With a ThreadPool, shards are updated concurrently — one task per shard
-// per chunk, barrier between chunks. Shards own disjoint state and each
-// shard's edge sequence is the serial arrival order (restricted to its own
-// edges), so pool-parallel output is bit-for-bit equal to serial execution —
-// the same guarantee DESIGN.md §5.5 gives for the ladder and sharded
-// builder, now enforced in one place. A partitioned barrier fires at routed-
-// edge counts the caller fixes, never at chunk boundaries, so the shard
-// states it sees are independent of pool and batch size as well.
+// With a ThreadPool, run_partitioned is a pipeline: the calling thread reads
+// and routes chunks into a small ring of slots while long-lived pool tasks,
+// each owning a fixed set of shards, drain the slots in arrival order.
+// Shards own disjoint state and each shard's edge sequence is the serial
+// arrival order (restricted to its own edges), so pool-parallel output is
+// bit-for-bit equal to serial execution — the same guarantee DESIGN.md §5.5
+// gives for the ladder and sharded builder, now enforced in one place. A
+// barrier hook fires at routed-edge counts the caller fixes, never at chunk
+// boundaries, so the shard states it sees are independent of pool and batch
+// size as well.
 #pragma once
 
 #include <cstddef>
@@ -90,15 +92,22 @@ class StreamEngine {
   /// Maps (edge, index of the edge among kept edges) to its owning shard.
   using Router = std::function<std::size_t(const Edge&, std::size_t)>;
 
-  /// A cross-shard step for run_partitioned: after every `every_edges`
-  /// routed edges the engine flushes every shard buffer and then calls
-  /// `on_barrier` on the calling thread, with no shard task in flight. The
-  /// positions are counts of routed edges, so they never move with the
-  /// batch size: at each one, every shard has consumed exactly its share of
-  /// the same stream prefix (DESIGN.md §5.7).
+  /// A per-shard step for run_partitioned at fixed stream positions:
+  /// position j (j >= 1) is reached once j·every_edges edges have been
+  /// routed, the end of the pass included. There the worker that owns shard
+  /// s calls `on_barrier(s, j)`
+  ///  * when shard s has consumed exactly its share of the first
+  ///    j·every_edges routed edges, and none after them;
+  ///  * only once every shard's hook for position j−1 has returned.
+  /// So the hooks of one position run concurrently, each beside other
+  /// shards' sinks but never beside a hook of another position: a hook may
+  /// touch its own shard, read what every hook wrote at j−1, and write its
+  /// own record for j. A worker waits only when it is a whole period ahead
+  /// of another. The positions are counts of routed edges, so they never
+  /// move with the batch size or the pool (DESIGN.md §5.7).
   struct Barrier {
     std::size_t every_edges = 0;  // 0 = never
-    std::function<void()> on_barrier;
+    std::function<void(std::size_t shard, std::size_t position)> on_barrier;
   };
 
   /// One pass, one consumer, batched delivery (resets the stream first, as
@@ -135,9 +144,14 @@ class StreamEngine {
 
   /// One pass dealt across `shards` partitioned consumers: the router assigns
   /// each surviving edge to exactly one shard; a shard sees its own edges in
-  /// arrival order. Shard buffers are flushed together (one pool task per
-  /// shard) every `shards * batch_edges` routed edges, and at every barrier
-  /// position. No barrier fires at the end of the pass.
+  /// arrival order, and its sink never runs concurrently with itself. The
+  /// filter and the router run on the calling thread, which routes each
+  /// chunk into per-shard slices of a ring slot. With a pool,
+  /// min(pool threads, shards) pool tasks drain the ring for the whole
+  /// pass, task w owning the shards s ≡ w (mod tasks); without one, the
+  /// calling thread drains each slot itself right after routing it. The
+  /// calling thread must not be a thread of the same pool, and the pass
+  /// needs that many of the pool's threads free to finish.
   PassStats run_partitioned(EdgeStream& stream, const EdgeFilter& filter,
                             std::size_t shards, const Router& router,
                             const ShardSink& sink, const Barrier& barrier) const;

@@ -15,6 +15,7 @@
 #include "stream/edge_stream.hpp"
 #include "stream/file_stream.hpp"
 #include "workloads/generators.hpp"
+#include "scratch_dir.hpp"
 
 namespace covstream {
 namespace {
@@ -164,8 +165,8 @@ TEST(Integration, FileStreamEndToEnd) {
   // pipeline straight off the files; results must match the in-memory run.
   const GeneratedInstance gen = make_planted_kcover(40, 4, 80, 0.4, 99);
   const auto edges = ordered_edges(gen.graph, ArrivalOrder::kRandom, 9);
-  const std::string text_path = std::string(::testing::TempDir()) + "/e2e.txt";
-  const std::string bin_path = std::string(::testing::TempDir()) + "/e2e.bin";
+  const std::string text_path = scratch_path("e2e.txt");
+  const std::string bin_path = scratch_path("e2e.bin");
   write_text_edges(text_path, edges);
   write_binary_edges(bin_path, edges);
 
@@ -188,7 +189,7 @@ TEST(Integration, FileStreamEndToEnd) {
 TEST(Integration, MultipassOverBinaryFile) {
   const GeneratedInstance gen = make_planted_setcover(50, 4, 60, 0.4, 98);
   const auto edges = ordered_edges(gen.graph, ArrivalOrder::kRandom, 8);
-  const std::string path = std::string(::testing::TempDir()) + "/mp.bin";
+  const std::string path = scratch_path("mp.bin");
   write_binary_edges(path, edges);
 
   BinaryFileStream stream(path);

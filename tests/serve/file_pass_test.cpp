@@ -34,6 +34,7 @@
 #include "stream/edge_stream.hpp"
 #include "stream/stream_engine.hpp"
 #include "util/rng.hpp"
+#include "scratch_dir.hpp"
 
 namespace covstream {
 namespace {
@@ -194,7 +195,7 @@ TEST(SketchServer, HandlesAreImmutableAfterPublication) {
 TEST(SketchServer, StopEndsEarlyAndLeavesResumableCheckpoint) {
   const std::vector<Edge> edges = make_edges(50000);
   const std::string ck_path =
-      testing::TempDir() + "covstream_server_stop_ck.snap";
+      scratch_path("covstream_server_stop_ck.snap");
   SketchFleet fleet({});
   create_tenant(fleet);
   FilePass pass;
@@ -234,7 +235,7 @@ TEST(SketchServer, RefusedChunkKeepsTheLastGoodCheckpoint) {
   std::vector<Edge> edges = make_edges(4000);
   edges[3 * 256 + 10].set = kNumSets;
   const std::string ck_path =
-      testing::TempDir() + "covstream_server_refused_ck.snap";
+      scratch_path("covstream_server_refused_ck.snap");
   SketchFleet fleet({});
   create_tenant(fleet);
   FilePass pass;
@@ -321,7 +322,7 @@ TEST(SketchServer, SaveResumeSolveMatchesUninterrupted) {
   // for bit, so the solver sees identical views.
   const std::vector<Edge> edges = make_edges(50000);
   const std::string ck_path =
-      testing::TempDir() + "covstream_server_solve_ck.snap";
+      scratch_path("covstream_server_solve_ck.snap");
   SketchFleet fleet({});
   create_tenant(fleet);
   FilePass pass;

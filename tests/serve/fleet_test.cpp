@@ -38,6 +38,7 @@
 #include "serve/sketch_fleet.hpp"
 #include "sketch/substrate/snapshot.hpp"
 #include "util/rng.hpp"
+#include "scratch_dir.hpp"
 
 namespace covstream {
 namespace {
@@ -74,7 +75,7 @@ std::vector<std::uint8_t> to_bytes(const T& object) {
 }
 
 std::string temp_spill_dir(const std::string& tag) {
-  return testing::TempDir() + "covstream_fleet_" + tag;
+  return scratch_path("covstream_fleet_" + tag);
 }
 
 TEST(Fleet, CreateIngestEstimateSolveMatchDirectSketch) {

@@ -29,6 +29,7 @@
 #include "serve/net_server.hpp"
 #include "serve/sketch_fleet.hpp"
 #include "util/fault_injection.hpp"
+#include "scratch_dir.hpp"
 
 namespace covstream {
 namespace {
@@ -102,7 +103,7 @@ class TestClient {
 };
 
 std::string churn_spill_dir() {
-  return testing::TempDir() + "covstream_net_churn";
+  return scratch_path("covstream_net_churn");
 }
 
 TEST(FleetProtocol, GrammarAndErrors) {
@@ -146,7 +147,7 @@ TEST(FleetProtocol, GrammarAndErrors) {
 
 TEST(FleetProtocol, ResponsesMatchDirectFleetCalls) {
   SketchFleet::Options fleet_options;
-  fleet_options.spill_dir = testing::TempDir() + "covstream_protocol_stats";
+  fleet_options.spill_dir = scratch_path("covstream_protocol_stats");
   SketchFleet fleet(fleet_options);
   bool shutdown = false;
   ASSERT_EQ(handle_fleet_request(fleet, "create t 64 4 0.3 7", &shutdown),

@@ -26,6 +26,7 @@
 #include "sketch/substrate/snapshot.hpp"
 #include "util/fault_injection.hpp"
 #include "util/rng.hpp"
+#include "scratch_dir.hpp"
 
 namespace covstream {
 namespace {
@@ -67,7 +68,7 @@ class FleetPersistenceTest : public testing::Test {
  protected:
   void SetUp() override {
     FaultInjector::instance().clear();
-    dir_ = fs::path(testing::TempDir()) /
+    dir_ = fs::path(scratch_dir()) /
            ("covstream_persist_" +
             std::string(testing::UnitTest::GetInstance()
                             ->current_test_info()

@@ -21,6 +21,7 @@
 
 #include "sketch/substrate/snapshot.hpp"
 #include "util/fault_injection.hpp"
+#include "scratch_dir.hpp"
 
 namespace covstream {
 namespace {
@@ -31,7 +32,7 @@ class SnapshotFaultTest : public testing::Test {
  protected:
   void SetUp() override {
     FaultInjector::instance().clear();
-    dir_ = fs::path(testing::TempDir()) /
+    dir_ = fs::path(scratch_dir()) /
            ("covstream_snapfault_" +
             std::string(testing::UnitTest::GetInstance()
                             ->current_test_info()

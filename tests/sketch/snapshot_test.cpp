@@ -28,6 +28,7 @@
 #include "stream/arrival_order.hpp"
 #include "util/rng.hpp"
 #include "workloads/generators.hpp"
+#include "scratch_dir.hpp"
 
 namespace covstream {
 namespace {
@@ -264,7 +265,7 @@ TEST(Snapshot, FileRoundTrip) {
   Rng rng(0xF11EULL);
   SubsampleSketch sketch(small_params(10, 3, 48));
   sketch.update_chunk(fuzz_edges(rng, 10, 900));
-  const std::string path = testing::TempDir() + "covstream_snapshot_test.snap";
+  const std::string path = scratch_path("covstream_snapshot_test.snap");
   std::string error;
   ASSERT_TRUE(save_snapshot(sketch, path, &error)) << error;
   std::optional<SubsampleSketch> loaded =
@@ -331,7 +332,7 @@ TEST(Snapshot, WrongObjectTypeFails) {
 TEST(Snapshot, MissingFileFails) {
   std::string error;
   EXPECT_FALSE(load_snapshot<SubsampleSketch>(
-      testing::TempDir() + "does_not_exist.snap", &error));
+      scratch_path("does_not_exist.snap"), &error));
   EXPECT_FALSE(error.empty());
 }
 

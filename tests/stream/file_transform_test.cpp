@@ -9,12 +9,13 @@
 #include "stream/edge_stream.hpp"
 #include "stream/file_stream.hpp"
 #include "workloads/generators.hpp"
+#include "scratch_dir.hpp"
 
 namespace covstream {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  return std::string(::testing::TempDir()) + "/" + name;
+  return scratch_path(name);
 }
 
 std::vector<Edge> drain(EdgeStream& stream) {

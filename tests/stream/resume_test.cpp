@@ -22,6 +22,7 @@
 #include "stream/file_stream.hpp"
 #include "stream/stream_engine.hpp"
 #include "util/rng.hpp"
+#include "scratch_dir.hpp"
 
 namespace covstream {
 namespace {
@@ -122,7 +123,7 @@ TEST(Resume, VectorStreamEqualsUninterrupted) {
 }
 
 TEST(Resume, BinaryFileStreamEqualsUninterrupted) {
-  const std::string path = testing::TempDir() + "covstream_resume.bin";
+  const std::string path = scratch_path("covstream_resume.bin");
   write_binary_edges(path, make_edges(6000));
   expect_resume_equals_uninterrupted(
       [&] { return std::make_unique<BinaryFileStream>(path); }, "binary");
@@ -130,7 +131,7 @@ TEST(Resume, BinaryFileStreamEqualsUninterrupted) {
 }
 
 TEST(Resume, TextFileStreamEqualsUninterrupted) {
-  const std::string path = testing::TempDir() + "covstream_resume.txt";
+  const std::string path = scratch_path("covstream_resume.txt");
   write_text_edges(path, make_edges(6000));
   expect_resume_equals_uninterrupted(
       [&] { return std::make_unique<TextFileStream>(path); }, "text");
@@ -140,7 +141,7 @@ TEST(Resume, TextFileStreamEqualsUninterrupted) {
 TEST(Resume, TextSeekLandsOnLineStarts) {
   // Messy file: comments, blank lines, malformed lines between records. The
   // position token must still replay exactly the unconsumed suffix.
-  const std::string path = testing::TempDir() + "covstream_resume_messy.txt";
+  const std::string path = scratch_path("covstream_resume_messy.txt");
   {
     std::FILE* file = std::fopen(path.c_str(), "w");
     ASSERT_NE(file, nullptr);
@@ -174,7 +175,7 @@ TEST(Resume, TextSeekLandsOnLineStarts) {
 }
 
 TEST(Resume, BinarySeekRejectsMisalignedTokens) {
-  const std::string path = testing::TempDir() + "covstream_resume_align.bin";
+  const std::string path = scratch_path("covstream_resume_align.bin");
   write_binary_edges(path, make_edges(100));
   BinaryFileStream stream(path);
   stream.reset();
@@ -201,7 +202,7 @@ TEST(Resume, ServerResumesFromCheckpointFile) {
   // the process "crashes", a new fleet adopts the checkpoint's sketch and
   // resumes the pass, and the result equals the uninterrupted pass.
   const std::vector<Edge> edges = make_edges(6000);
-  const std::string ck_path = testing::TempDir() + "covstream_server_ck.snap";
+  const std::string ck_path = scratch_path("covstream_server_ck.snap");
 
   const SketchParams params = resume_params(77);
   SubsampleSketch uninterrupted(params);

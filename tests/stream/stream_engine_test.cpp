@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <memory>
 #include <numeric>
+#include <thread>
 
 #include "core/distributed.hpp"
 #include "core/setcover_multipass.hpp"
@@ -167,6 +171,166 @@ TEST(StreamEngine, ElementHashPartitionNeverSplitsAnElement) {
     }
   }
   EXPECT_EQ(total, edges.size());
+}
+
+// ------------------------------------------ partitioned pipeline contract ----
+// run_partitioned's promises (stream_engine.hpp, DESIGN.md §5.7), checked on
+// every pool and shard count pair below, including workers that own several
+// shards and pools with more threads than shards.
+
+constexpr std::size_t kContractEvery = 60;
+
+/// `kept` edges the contract filter passes, a dropped one after every third.
+std::vector<Edge> contract_stream(std::size_t kept) {
+  std::vector<Edge> edges;
+  for (std::size_t i = 0; i < kept; ++i) {
+    const auto elem = static_cast<ElemId>((i * 7919) % 1009);
+    edges.push_back({static_cast<SetId>(5 * (i % 13) + 1 + i % 4), elem});
+    if (i % 3 == 0) edges.push_back({static_cast<SetId>(5 * (i % 13)), elem});
+  }
+  return edges;
+}
+
+/// One partitioned pass with a stateful filter, a sink and a barrier hook
+/// that count every breach of the contract they can see.
+class ContractRun {
+ public:
+  ContractRun(ThreadPool* pool, std::size_t shards, std::size_t kept,
+              std::size_t batch)
+      : consumed(shards), positions(shards), expected(shards),
+        in_sink_(shards), share_(kept / kContractEvery + 1),
+        records_{std::vector<std::size_t>(shards), std::vector<std::size_t>(shards)} {
+    const std::vector<Edge> edges = contract_stream(kept);
+    const StreamEngine::Router router = StreamEngine::by_element_hash(shards, 7);
+    // Deal the kept edges by hand; share_[j][s] counts shard s's among the
+    // first j periods.
+    std::size_t index = 0;
+    share_[0].assign(shards, 0);
+    for (const Edge& edge : edges) {
+      if (edge.set % 5 == 0) continue;
+      expected[router(edge, index++)].push_back(edge);
+      if (index % kContractEvery == 0) {
+        for (std::size_t s = 0; s < shards; ++s) {
+          share_[index / kContractEvery].push_back(expected[s].size());
+        }
+      }
+    }
+    for (std::size_t s = 0; s < shards; ++s) records_[0][s] = s;
+
+    const std::thread::id caller = std::this_thread::get_id();
+    VectorStream stream(edges);
+    stats = StreamEngine({batch, pool}).run_partitioned(
+        stream,
+        [&](const Edge& edge) {
+          ++filter_calls;
+          if (std::this_thread::get_id() != caller) ++filter_off_caller;
+          return edge.set % 5 != 0;
+        },
+        shards, router,
+        [&](std::size_t s, std::span<const Edge> chunk) {
+          if (in_sink_[s].exchange(true)) ++overlapping_sinks;
+          consumed[s].insert(consumed[s].end(), chunk.begin(), chunk.end());
+          in_sink_[s].store(false);
+        },
+        {kContractEvery, [&](std::size_t s, std::size_t j) { hook(s, j); }});
+  }
+
+  StreamEngine::PassStats stats;
+  std::atomic<std::size_t> filter_calls{0};
+  std::atomic<std::size_t> filter_off_caller{0};
+  std::atomic<std::size_t> overlapping_sinks{0};
+  std::atomic<std::size_t> wrong_prefixes{0};  // hooks that saw another prefix
+  std::atomic<std::size_t> early_hooks{0};     // ran before j−1's hooks returned
+  std::atomic<std::size_t> stale_records{0};   // found a j−1 record unwritten
+  std::vector<std::vector<Edge>> consumed;               // per shard
+  std::vector<std::vector<std::size_t>> positions;       // per shard, hooked
+  std::vector<std::vector<Edge>> expected;               // per shard
+
+ private:
+  void hook(std::size_t s, std::size_t j) {
+    const std::size_t shards = consumed.size();
+    if (returned_.load() < (j - 1) * shards) ++early_hooks;
+    // Plain reads of what every hook of j−1 wrote: a missing ordering shows
+    // here as a stale value, or as a race under TSan.
+    for (std::size_t t = 0; t < shards; ++t) {
+      if (records_[(j - 1) % 2][t] != (j - 1) * shards + t) ++stale_records;
+    }
+    if (j >= share_.size() || consumed[s].size() != share_[j][s] ||
+        !std::equal(consumed[s].begin(), consumed[s].end(), expected[s].begin())) {
+      ++wrong_prefixes;
+    }
+    positions[s].push_back(j);
+    records_[j % 2][s] = j * shards + s;
+    ++returned_;
+  }
+
+  std::vector<std::atomic<bool>> in_sink_;
+  std::vector<std::vector<std::size_t>> share_;
+  std::array<std::vector<std::size_t>, 2> records_;
+  std::atomic<std::size_t> returned_{0};
+};
+
+/// Calls `check(run, label)` on every pool × shard count × stream × batch
+/// case: no pool and pools of 1/2/3/4/8 threads; 1/3/4/5/8 shards; streams
+/// that are empty, shorter than one period, an exact multiple of it, and
+/// neither; batch sizes 1, 7 and 4096.
+template <typename Check>
+void for_each_contract_case(Check&& check) {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  for (const auto& pool : pools) {
+    for (const std::size_t shards : {1u, 3u, 4u, 5u, 8u}) {
+      for (const std::size_t kept :
+           {std::size_t{0}, kContractEvery / 2, 10 * kContractEvery,
+            10 * kContractEvery + 13}) {
+        for (const std::size_t batch : {1u, 7u, 4096u}) {
+          const ContractRun run(pool.get(), shards, kept, batch);
+          check(run, "threads=" + std::to_string(pool ? pool->thread_count() : 0) +
+                         " shards=" + std::to_string(shards) +
+                         " kept=" + std::to_string(kept) +
+                         " batch=" + std::to_string(batch));
+        }
+      }
+    }
+  }
+}
+
+TEST(StreamEnginePipeline, HookSeesExactlyItsShardsShareOfThePrefix) {
+  for_each_contract_case([](const ContractRun& run, const std::string& label) {
+    EXPECT_EQ(run.wrong_prefixes.load(), 0u) << label;
+    EXPECT_EQ(run.consumed, run.expected) << label;
+    // Every shard is hooked at every position the pass reached, in order,
+    // the end of the pass included when it falls on one.
+    std::vector<std::size_t> reached(run.stats.edges_kept / kContractEvery);
+    std::iota(reached.begin(), reached.end(), std::size_t{1});
+    for (const auto& hooked : run.positions) EXPECT_EQ(hooked, reached) << label;
+  });
+}
+
+TEST(StreamEnginePipeline, HookRunsOnlyAfterEveryHookOfTheLastPosition) {
+  for_each_contract_case([](const ContractRun& run, const std::string& label) {
+    EXPECT_EQ(run.early_hooks.load(), 0u) << label;
+    EXPECT_EQ(run.stale_records.load(), 0u) << label;
+  });
+}
+
+TEST(StreamEnginePipeline, SinkNeverRunsConcurrentlyForOneShard) {
+  for_each_contract_case([](const ContractRun& run, const std::string& label) {
+    EXPECT_EQ(run.overlapping_sinks.load(), 0u) << label;
+  });
+}
+
+TEST(StreamEnginePipeline, StatefulFilterRunsOncePerEdgeOnTheCallingThread) {
+  for_each_contract_case([](const ContractRun& run, const std::string& label) {
+    EXPECT_EQ(run.filter_calls.load(), run.stats.edges_read) << label;
+    EXPECT_EQ(run.filter_off_caller.load(), 0u) << label;
+    std::size_t kept = 0;
+    for (const auto& shard : run.expected) kept += shard.size();
+    EXPECT_EQ(run.stats.edges_kept, kept) << label;
+  });
 }
 
 // -------------------------------------------------- ladder (replicated) ----
@@ -382,12 +546,15 @@ TEST(StreamEngineBatchFuzz, PartitionedStateIndependentOfBatchSize) {
   params.k = 5;
   params.eps = 0.25;
   params.budget_mode = BudgetMode::kExplicit;
-  params.explicit_budget = 700;
+  // The budget leaves periods after the first one that overflows it, so the
+  // shared bound, which applies one period late, fires within the stream.
+  params.explicit_budget = 600;
   params.hash_seed = 23;
 
   ShardedSketchBuilder reference(params, 3, nullptr);
   VectorStream s0(edges);
   reference.consume(s0);
+  ASSERT_GE(reference.bounds_applied(), 1u);
   const SubsampleSketch merged_reference = reference.finalize();
 
   for (const std::size_t batch :
@@ -395,6 +562,8 @@ TEST(StreamEngineBatchFuzz, PartitionedStateIndependentOfBatchSize) {
     ShardedSketchBuilder builder(params, 3, nullptr);
     VectorStream stream(edges);
     builder.consume(stream, batch);
+    EXPECT_EQ(builder.bounds_applied(), reference.bounds_applied())
+        << "batch=" << batch;
     SubsampleSketch merged = builder.finalize();
     expect_same_sketch(merged, merged_reference,
                        "batch=" + std::to_string(batch));
