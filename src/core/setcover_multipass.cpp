@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/greedy_on_sketch.hpp"
-#include "core/sketch_ladder.hpp"
 #include "sketch/substrate/flat_table.hpp"
 #include "solve/cover_tracker.hpp"
 #include "stream/stream_engine.hpp"
@@ -70,75 +69,41 @@ MultipassResult streaming_setcover_multipass(EdgeStream& stream, SetId num_sets,
   iter_options.lambda = lambda;
   iter_options.c_confidence =
       options.c_confidence * std::max<double>(1.0, static_cast<double>(r) - 1.0);
-  iter_options.pool = options.pool;
 
+  const OutliersPlan plan = plan_outliers(num_sets, iter_options);
   std::size_t sketch_words_peak = 0;
-  const StreamEngine engine({options.stream.batch_edges, nullptr});
 
   for (std::size_t iteration = 1; iteration < r; ++iteration) {
-    if (!options.merge_mark_pass && !last_iteration.empty()) {
-      // Dedicated marking pass for S_{i-1}.
-      engine.run(stream, {}, [&](std::span<const Edge> chunk) {
-        for (const Edge& edge : chunk) {
-          if (in_last[edge.set]) covered.mark(edge.elem);
-        }
-      });
-      set_last({});
-    }
+    SketchLadder ladder =
+        outliers_ladder(num_sets, plan, iter_options.stream, options.pool);
+    // Mark S_{i-1} and feed uncovered edges in the same pass (the paper's
+    // "virtually construct G_i"); the engine evaluates this mask once per
+    // chunk, before any rung runs. Purge just-covered retained elements
+    // afterwards.
+    ladder.consume(
+        stream,
+        [&](const Edge& edge) {
+          if (covered.test(edge.elem)) return false;
+          if (in_last[edge.set]) {
+            covered.mark(edge.elem);
+            return false;
+          }
+          return true;
+        },
+        options.stream.batch_edges);
+    ladder.purge([&](ElemId elem) { return covered.test(elem); });
 
-    const OutliersPlan plan = plan_outliers(num_sets, iter_options);
-    std::vector<SketchParams> rung_params;
-    rung_params.reserve(plan.guesses.size());
-    for (const SubmoduleParams& sub : plan.guesses) {
-      rung_params.push_back(
-          submodule_sketch_params(num_sets, sub, iter_options.stream, plan.delta_pp));
-    }
-    SketchLadder ladder(std::move(rung_params), options.pool);
-
-    if (options.merge_mark_pass) {
-      // Mark S_{i-1} and feed uncovered edges in the same pass; the engine
-      // evaluates this mask once per chunk, before any rung runs. Purge
-      // just-covered retained elements afterwards.
-      ladder.consume(
-          stream,
-          [&](const Edge& edge) {
-            if (covered.test(edge.elem)) return false;
-            if (in_last[edge.set]) {
-              covered.mark(edge.elem);
-              return false;
-            }
-            return true;
-          },
-          options.stream.batch_edges);
-      for (std::size_t rung = 0; rung < ladder.size(); ++rung) {
-        ladder.rung(rung).purge([&](ElemId elem) { return covered.test(elem); });
-      }
-      set_last({});
-    } else {
-      ladder.consume(
-          stream, [&](const Edge& edge) { return !covered.test(edge.elem); },
-          options.stream.batch_edges);
-    }
-    sketch_words_peak = std::max(sketch_words_peak, ladder.peak_space_words());
-
-    // Evaluate guesses in increasing k' (Algorithm 5's acceptance loop).
-    std::vector<SetId> picked;
-    for (std::size_t g = 0; g < plan.guesses.size(); ++g) {
-      const SubmoduleResult sub =
-          setcover_submodule_evaluate(ladder.rung(g), plan.guesses[g],
-                                      options.pool);
-      if (sub.feasible) {
-        picked = sub.solution;
-        break;
-      }
-    }
-    result.picked_per_iteration.push_back(picked.size());
-    chosen.insert(chosen.end(), picked.begin(), picked.end());
-    set_last(std::move(picked));
+    OutliersResult accepted = accept_smallest_guess(ladder, plan, options.pool);
+    sketch_words_peak = std::max(sketch_words_peak, accepted.space_words);
+    result.picked_per_iteration.push_back(accepted.solution.size());
+    chosen.insert(chosen.end(), accepted.solution.begin(),
+                  accepted.solution.end());
+    set_last(std::move(accepted.solution));
   }
 
   // Final stage: mark S_{r-1}, store G_r's residual edges, cover exactly.
   std::vector<Edge> residual;
+  const StreamEngine engine({options.stream.batch_edges, nullptr});
   engine.run(stream, {}, [&](std::span<const Edge> chunk) {
     for (const Edge& edge : chunk) {
       if (covered.test(edge.elem)) continue;

@@ -7,14 +7,10 @@
 // tracked in an m-bit bitmap — the "+m" term of the space bound
 // (DESIGN.md §5.3).
 //
-// Pass accounting: the paper folds the covered-element marking into the
-// next sketch pass ("virtually construct G_i"). We support both:
-//  * merge_mark_pass = true  — marking happens inside the sketch pass and
-//    covered elements are purged from the sketches at end of pass (still a
-//    valid, slightly smaller sketch of G_i); r passes total.
-//  * merge_mark_pass = false — a dedicated marking pass per iteration;
-//    2(r-1) passes total, sketches see exactly G_i.
-// Both satisfy the approximation guarantee; the ablation bench compares them.
+// Pass accounting: as in the paper, the covered-element marking of S_{i-1}
+// rides in the next sketch pass ("virtually construct G_i"), and elements
+// covered later in that pass are purged from the sketches at its end (still
+// a valid, slightly smaller sketch of G_i); r passes total.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +26,6 @@ struct MultipassOptions {
   StreamingOptions stream;
   std::size_t rounds = 3;  // the paper's r, in [1, log m]
   double c_confidence = 1.0;
-  bool merge_mark_pass = true;
   ThreadPool* pool = nullptr;
 };
 

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "core/sketch_ladder.hpp"
+#include <optional>
 
 namespace covstream {
 
@@ -45,27 +44,38 @@ OutliersPlan plan_outliers(SetId num_sets, const OutliersOptions& options) {
   return plan;
 }
 
-OutliersResult streaming_setcover_outliers(EdgeStream& stream, SetId num_sets,
-                                           const OutliersOptions& options) {
-  const OutliersPlan plan = plan_outliers(num_sets, options);
-
+SketchLadder outliers_ladder(SetId num_sets, const OutliersPlan& plan,
+                             const StreamingOptions& stream, ThreadPool* pool) {
   std::vector<SketchParams> rung_params;
   rung_params.reserve(plan.guesses.size());
   for (const SubmoduleParams& sub : plan.guesses) {
     rung_params.push_back(
-        submodule_sketch_params(num_sets, sub, options.stream, plan.delta_pp));
+        submodule_sketch_params(num_sets, sub, stream, plan.delta_pp));
   }
-  SketchLadder ladder(std::move(rung_params), options.pool);
-  // The single shared pass, batched through the engine.
-  ladder.consume(stream, {}, options.stream.batch_edges);
+  return SketchLadder(rung_params, pool);
+}
 
+OutliersResult accept_smallest_guess(const SketchLadder& ladder,
+                                     const OutliersPlan& plan,
+                                     ThreadPool* pool) {
+  COVSTREAM_CHECK(ladder.size() == plan.guesses.size());
   OutliersResult result;
-  result.ladder_rungs = plan.guesses.size();
+  result.ladder_rungs = ladder.size();
+  result.ladder_sketches = ladder.sketch_count();
   result.space_words = ladder.peak_space_words();
-  result.passes = stream.passes_started();
+  // The solver borrows the view: drop it before the view changes.
+  const SubsampleSketch* viewed = nullptr;
+  SketchView view;
+  std::optional<Solver> solver;
   for (std::size_t i = 0; i < plan.guesses.size(); ++i) {
+    if (&ladder.rung(i) != viewed) {
+      viewed = &ladder.rung(i);
+      solver.reset();
+      view = viewed->view();
+      solver.emplace(view, pool);
+    }
     const SubmoduleResult sub =
-        setcover_submodule_evaluate(ladder.rung(i), plan.guesses[i], options.pool);
+        setcover_submodule_evaluate(view, *solver, plan.guesses[i]);
     if (sub.feasible) {
       result.feasible = true;
       result.solution = sub.solution;
@@ -74,6 +84,18 @@ OutliersResult streaming_setcover_outliers(EdgeStream& stream, SetId num_sets,
       break;
     }
   }
+  return result;
+}
+
+OutliersResult streaming_setcover_outliers(EdgeStream& stream, SetId num_sets,
+                                           const OutliersOptions& options) {
+  const OutliersPlan plan = plan_outliers(num_sets, options);
+  SketchLadder ladder =
+      outliers_ladder(num_sets, plan, options.stream, options.pool);
+  // The single shared pass, batched through the engine.
+  ladder.consume(stream, {}, options.stream.batch_edges);
+  OutliersResult result = accept_smallest_guess(ladder, plan, options.pool);
+  result.passes = stream.passes_started();
   return result;
 }
 

@@ -33,10 +33,9 @@ SketchParams submodule_sketch_params(SetId num_sets, const SubmoduleParams& sub,
   return options.sketch_params(num_sets, sub.budget_sets, sub.eps_inner, delta_pp);
 }
 
-SubmoduleResult setcover_submodule_evaluate(const SubsampleSketch& sketch,
-                                            const SubmoduleParams& sub,
-                                            ThreadPool* pool) {
-  const SketchView view = sketch.view();
+SubmoduleResult setcover_submodule_evaluate(const SketchView& view,
+                                            Solver& solver,
+                                            const SubmoduleParams& sub) {
   SubmoduleResult result;
   if (view.num_retained == 0) {
     // Empty sketch: nothing (left) to cover; the empty family is feasible
@@ -47,7 +46,6 @@ SubmoduleResult setcover_submodule_evaluate(const SubsampleSketch& sketch,
   }
   const std::size_t target = static_cast<std::size_t>(
       std::ceil(sub.acceptance_fraction() * static_cast<double>(view.num_retained)));
-  Solver solver(view, pool);
   const GreedyResult greedy =
       solver.cover_target(sub.budget_sets, std::max<std::size_t>(1, target));
   result.sketch_cover_fraction =

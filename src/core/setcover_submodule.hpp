@@ -48,12 +48,13 @@ SketchParams submodule_sketch_params(SetId num_sets, const SubmoduleParams& sub,
                                      const StreamingOptions& options,
                                      double delta_pp);
 
-/// Post-pass evaluation: greedy on the already-built sketch (through the
-/// shared solver engine, DESIGN.md §5.10) + the coverage test of Algorithm 4
-/// lines 4-7. `pool` (nullable) parallelizes large decrement sweeps; the
-/// solution is identical either way.
-SubmoduleResult setcover_submodule_evaluate(const SubsampleSketch& sketch,
-                                            const SubmoduleParams& sub,
-                                            ThreadPool* pool = nullptr);
+/// Post-pass evaluation: greedy on the already-built sketch's view, through
+/// `solver` built over that view (the shared solver engine, DESIGN.md
+/// §5.10), + the coverage test of Algorithm 4 lines 4-7. Guesses that read
+/// one sketch pass one warm solver; the solution is the same as a fresh
+/// solver's.
+SubmoduleResult setcover_submodule_evaluate(const SketchView& view,
+                                            Solver& solver,
+                                            const SubmoduleParams& sub);
 
 }  // namespace covstream

@@ -1,21 +1,23 @@
 // A ladder of H<=n sketches built in a single streaming pass.
 //
 // Algorithm 5 guesses the set-cover size k' over a geometric grid and "runs
-// these in parallel": every guess needs its own sketch (the degree cap
-// depends on k). SketchLadder feeds one pass of edges to all rungs —
-// serially, or chunk-parallel across rungs with a ThreadPool (rungs are
-// independent, so parallel == serial bit-for-bit, DESIGN.md §5.5/§5.7).
+// these in parallel", one sketch per guess. But k' reaches a sketch only
+// through the degree cap ceil(n ln(1/eps) / (eps k')), and a cap at or above
+// n never binds, since an edge list holds distinct set ids. So rungs whose
+// params differ only in k and whose caps clamp to the same min(cap, n) read
+// ONE SubsampleSketch: rung(i) returns the sketch rung i reads, and the
+// ladder stores and admits into each distinct sketch once (DESIGN.md §5.5).
+// Caps fall as k' grows, so the rungs that share a sketch are contiguous.
 //
-// When every rung shares the same hash seed (and the same universe of sets
-// — the Algorithm 5 grid always does; rungs differ only in degree cap,
-// budget, and realized cutoff), the ladder hashes each chunk's elements
-// ONCE into shared scratch spans and every rung admits off the same keys:
-// a ladder pass costs one hash sweep instead of H (DESIGN.md §5.8). Mixed
-// seeds fall back to per-rung hashing, bit-for-bit identical either way.
+// Every rung shares one hash seed and one set universe (the constructor
+// checks it), so the ladder hashes each chunk's elements ONCE into shared
+// scratch spans and every distinct sketch admits off the same keys: a ladder
+// pass costs one hash sweep instead of one per sketch (DESIGN.md §5.8).
+// With a ThreadPool the sketches admit chunk-parallel; they are independent,
+// so parallel == serial bit-for-bit (DESIGN.md §5.7).
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -27,23 +29,27 @@ namespace covstream {
 
 class SketchLadder {
  public:
-  explicit SketchLadder(std::vector<SketchParams> rung_params,
+  /// One rung per entry of `rung_params` (nonempty); all must share
+  /// hash_seed and num_sets.
+  explicit SketchLadder(const std::vector<SketchParams>& rung_params,
                         ThreadPool* pool = nullptr);
 
-  std::size_t size() const { return rungs_.size(); }
-  SubsampleSketch& rung(std::size_t i) { return rungs_[i]; }
-  const SubsampleSketch& rung(std::size_t i) const { return rungs_[i]; }
+  /// Number of rungs.
+  std::size_t size() const { return sketch_of_.size(); }
 
-  /// True when all rungs share one hash seed (and set universe), so chunk
-  /// keys are computed once and shared across rungs.
-  bool shares_keys() const { return shared_keys_; }
+  /// Number of distinct sketches the rungs read.
+  std::size_t sketch_count() const { return sketches_.size(); }
 
-  /// Feeds one edge to every rung (serial path).
-  void update(const Edge& edge);
+  /// The sketch rung `i` reads; equal, content for content, to a standalone
+  /// sketch built with rung i's params over the same edges. Its params()
+  /// are those of the first rung that reads it.
+  const SubsampleSketch& rung(std::size_t i) const {
+    return sketches_[sketch_of_[i]];
+  }
 
-  /// Feeds a buffered chunk of edges to every rung, one task per rung.
-  /// Shared-seed ladders hash the chunk once; each rung then runs the
-  /// substrate's batched admission over the shared (elem, key) spans.
+  /// Feeds a buffered chunk of edges to every distinct sketch, one task per
+  /// sketch: the chunk is hashed once, and each sketch runs the substrate's
+  /// batched admission over the shared (elem, key) spans.
   void update_chunk(std::span<const Edge> edges);
 
   /// Runs one full pass of the stream through all rungs (engine-batched
@@ -54,42 +60,23 @@ class SketchLadder {
   void consume(EdgeStream& stream, const EdgeFilter& filter = {},
                std::size_t batch_edges = 0);
 
-  /// Sum of rung peak spaces (they coexist during the pass).
+  /// Removes retained elements matching `pred` from every distinct sketch
+  /// (Algorithm 6's end-of-pass purge of just-covered elements).
+  template <typename Pred>
+  void purge(Pred&& pred) {
+    for (SubsampleSketch& sketch : sketches_) sketch.purge(pred);
+  }
+
+  /// Sum of the distinct sketches' peak spaces (they coexist during the
+  /// pass); a shared sketch counts once.
   std::size_t peak_space_words() const;
 
-  /// Rung-wise union merge: both ladders must have the same rung count with
-  /// pairwise-identical params (each rung pair merges under the sketch's own
-  /// checks). Shards of a partitioned stream reduce to the single-pass
-  /// ladder exactly as individual sketches do.
-  void merge_from(const SketchLadder& other);
-
-  // ----------------------------------------------------------- persistence --
-  /// Snapshot object tag (docs/FORMATS.md §2); save/load via the
-  /// save_snapshot()/load_snapshot() helpers of substrate/snapshot.hpp.
-  static constexpr SnapshotType kSnapshotType = SnapshotType::kSketchLadder;
-
-  /// Serializes every rung in order (DESIGN.md §5.9); a loaded ladder
-  /// recomputes shared-key eligibility from the rung params, so the one-hash
-  /// sweep optimization survives the round trip.
-  void save(SnapshotWriter& writer) const;
-
-  /// Restores a save()d ladder; nullopt (reader error set) on any failure.
-  /// The pool is runtime context, not state — pass the one this process
-  /// wants rung fan-out on (nullptr = serial).
-  static std::optional<SketchLadder> load_snapshot(SnapshotReader& reader,
-                                                   ThreadPool* pool = nullptr);
-
  private:
-  SketchLadder() = default;  // load_snapshot fills rungs_ in place
-
-  /// True iff every rung hashes identically and shares the set universe.
-  void recompute_shared_keys();
-
-  std::vector<SubsampleSketch> rungs_;
+  std::vector<SubsampleSketch> sketches_;
+  std::vector<std::size_t> sketch_of_;  // rung -> index into sketches_
   ThreadPool* pool_ = nullptr;
-  bool shared_keys_ = false;
-  // One hash sweep per chunk, shared read-only across all rung tasks; once
-  // every rung is saturated, one pre-filter sweep (against the max rung
+  // One hash sweep per chunk, shared read-only across all sketch tasks; once
+  // every sketch is saturated, one pre-filter sweep (against the max
   // cutoff) compacts shared candidates too.
   std::vector<ElemId> elem_scratch_;
   std::vector<std::uint64_t> key_scratch_;

@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <utility>
@@ -141,14 +140,10 @@ class SubsampleSketch {
   /// arena storage goes back on the substrate free lists. The result is
   /// still a valid hash-prefix sketch of the surviving subgraph (used by
   /// Algorithm 6's merged marking pass to drop just-covered elements at end
-  /// of pass). Templated so the per-slot predicate call inlines; the
-  /// std::function overload below keeps type-erased callers working.
+  /// of pass). Templated so the per-slot predicate call inlines.
   template <typename Pred>
   void purge(Pred&& pred) {
     core_.purge(std::forward<Pred>(pred));
-  }
-  void purge(const std::function<bool(ElemId)>& pred) {
-    core_.purge(pred);
   }
 
   /// Calls `fn(key, stored_edges)` for every retained element, in no

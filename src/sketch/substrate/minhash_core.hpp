@@ -42,7 +42,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -404,7 +403,7 @@ class MinHashCore {
   /// valid key-prefix sketch of the surviving subgraph (the cutoff is
   /// untouched, so purged elements may be re-admitted later). The predicate
   /// is a template parameter so Algorithm 6's once-per-slot residual checks
-  /// inline instead of going through std::function's indirect call.
+  /// inline.
   /// In queue mode the purged slots' bits are cleared first and the queue
   /// is laid out once at the end, without them.
   template <typename Pred>
@@ -419,12 +418,6 @@ class MinHashCore {
     if (purged && queue_built_) {
       queue_.retain([this](std::uint32_t slot) { return alive(slot); });
     }
-  }
-
-  /// Thin type-erased overload for callers that already hold a
-  /// std::function (keeps the pre-template signature working).
-  void purge(const std::function<bool(ElemId)>& pred) {
-    purge<const std::function<bool(ElemId)>&>(pred);
   }
 
   /// Drops every live slot whose key reached the cutoff (merge housekeeping).

@@ -41,11 +41,11 @@ inline constexpr char kSnapshotMagic[8] = {'C', 'V', 'S', 'N', 'A', 'P', '0', '1
 inline constexpr std::uint32_t kSnapshotVersion = 3;
 inline constexpr std::uint32_t kSnapshotEndianMarker = 0x0A0B0C0Du;
 
-/// Top-level object tags (docs/FORMATS.md §2). One per snapshottable type.
+/// Top-level object tags (docs/FORMATS.md §2). One per snapshottable type;
+/// 3 (the retired sketch ladder) is never reused.
 enum class SnapshotType : std::uint32_t {
   kSubsampleSketch = 1,
   kWeightedSketch = 2,
-  kSketchLadder = 3,
   kL0KCover = 4,
   kIngestCheckpoint = 5,
   kFleetManifest = 6,

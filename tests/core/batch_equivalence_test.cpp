@@ -3,7 +3,7 @@
 // cutoffs, same stored edges, same peak-space values — across chunk sizes
 // (1 / 7 / 4096 / exact), repeated arrivals, weighted and unweighted keys,
 // and chunks that cross the saturation point mid-chunk. Also pins the ladder's
-// shared-key sweep against per-rung hashing, and the substrate's
+// shared-key sweep against standalone per-edge sketches, and the substrate's
 // incremental space counter against the audit re-sum.
 //
 // The SimdEquivalence suite is the forced-ISA leg (DESIGN.md §5.11): the
@@ -204,9 +204,8 @@ TEST(BatchEquivalence, WeightedChunksMatchPerEdge) {
   }
 }
 
-std::vector<SketchParams> ladder_grid(SetId n, std::span<const std::uint64_t> seeds) {
+std::vector<SketchParams> ladder_grid(SetId n, std::uint64_t seed) {
   std::vector<SketchParams> rungs;
-  std::size_t i = 0;
   for (const std::uint32_t k : {1u, 2u, 4u, 8u, 16u, 32u}) {
     SketchParams params;
     params.num_sets = n;
@@ -214,7 +213,7 @@ std::vector<SketchParams> ladder_grid(SetId n, std::span<const std::uint64_t> se
     params.eps = 0.25;
     params.budget_mode = BudgetMode::kExplicit;
     params.explicit_budget = 120 + 60 * k;
-    params.hash_seed = seeds[i++ % seeds.size()];
+    params.hash_seed = seed;
     rungs.push_back(params);
   }
   return rungs;
@@ -223,34 +222,15 @@ std::vector<SketchParams> ladder_grid(SetId n, std::span<const std::uint64_t> se
 TEST(BatchEquivalence, LadderSharedKeysMatchPerRungHash) {
   const GeneratedInstance gen = make_uniform(40, 2000, 25, 31);
   const auto edges = ordered_edges(gen.graph, ArrivalOrder::kRandom, 7);
-  const std::uint64_t seed[] = {0xFEEDULL};
-  const auto rung_params = ladder_grid(40, seed);
+  const auto rung_params = ladder_grid(40, 0xFEEDULL);
 
   SketchLadder shared(rung_params, nullptr);
-  ASSERT_TRUE(shared.shares_keys());
   shared.update_chunk(edges);
 
   for (std::size_t r = 0; r < rung_params.size(); ++r) {
     SubsampleSketch standalone(rung_params[r]);
     for (const Edge& edge : edges) standalone.update(edge);
     expect_same_sketch(standalone, shared.rung(r), edges, "shared-key rung");
-  }
-}
-
-TEST(BatchEquivalence, LadderMixedSeedsFallBackToPerRungHash) {
-  const GeneratedInstance gen = make_uniform(30, 1500, 20, 37);
-  const auto edges = ordered_edges(gen.graph, ArrivalOrder::kRandom, 9);
-  const std::uint64_t seeds[] = {0xAAULL, 0xBBULL, 0xCCULL};
-  const auto rung_params = ladder_grid(30, seeds);
-
-  SketchLadder mixed(rung_params, nullptr);
-  ASSERT_FALSE(mixed.shares_keys());
-  mixed.update_chunk(edges);
-
-  for (std::size_t r = 0; r < rung_params.size(); ++r) {
-    SubsampleSketch standalone(rung_params[r]);
-    for (const Edge& edge : edges) standalone.update(edge);
-    expect_same_sketch(standalone, mixed.rung(r), edges, "mixed-seed rung");
   }
 }
 
@@ -273,7 +253,6 @@ TEST(BatchEquivalence, LadderAllSaturatedSharedCandidatesMatch) {
   }
 
   SketchLadder shared(rung_params, nullptr);
-  ASSERT_TRUE(shared.shares_keys());
   VectorStream stream(edges);
   shared.consume(stream, {}, 512);
 
@@ -286,15 +265,11 @@ TEST(BatchEquivalence, LadderAllSaturatedSharedCandidatesMatch) {
 }
 
 TEST(BatchEquivalence, LadderConsumeMatchesPerEdgeUpdates) {
-  // The engine path (consume -> chunks -> shared hash sweep) against the
-  // fully serial per-edge ladder, over a pool as well (rungs independent).
+  // The engine path (consume -> chunks -> shared hash sweep) over a pool
+  // against standalone sketches fed edge by edge (sketches independent).
   const GeneratedInstance gen = make_uniform(25, 1200, 15, 41);
   const auto edges = ordered_edges(gen.graph, ArrivalOrder::kRandom, 11);
-  const std::uint64_t seed[] = {0x1234ULL};
-  const auto rung_params = ladder_grid(25, seed);
-
-  SketchLadder per_edge(rung_params, nullptr);
-  for (const Edge& edge : edges) per_edge.update(edge);
+  const auto rung_params = ladder_grid(25, 0x1234ULL);
 
   ThreadPool pool(3);
   SketchLadder pooled(rung_params, &pool);
@@ -302,7 +277,9 @@ TEST(BatchEquivalence, LadderConsumeMatchesPerEdgeUpdates) {
   pooled.consume(stream, {}, 256);  // small batches force many chunks
 
   for (std::size_t r = 0; r < rung_params.size(); ++r) {
-    expect_same_sketch(per_edge.rung(r), pooled.rung(r), edges, "consume rung");
+    SubsampleSketch per_edge(rung_params[r]);
+    for (const Edge& edge : edges) per_edge.update(edge);
+    expect_same_sketch(per_edge, pooled.rung(r), edges, "consume rung");
   }
 }
 
@@ -537,7 +514,6 @@ TEST(SimdEquivalence, ForcedIsaLadderSharedPreFilterMatches) {
 
   SketchLadder with_scalar(rung_params, nullptr);
   SketchLadder with_avx2(rung_params, nullptr);
-  ASSERT_TRUE(with_scalar.shares_keys());
   {
     IsaGuard guard(IsaLevel::kScalar);
     VectorStream stream(edges);

@@ -5,6 +5,7 @@
 
 #include "core/oracle_hardness.hpp"
 #include "core/params.hpp"
+#include "core/sketch_ladder.hpp"
 #include "core/subsample_sketch.hpp"
 #include "core/weighted_sketch.hpp"
 #include "graph/coverage_instance.hpp"
@@ -62,6 +63,18 @@ TEST(ContractsDeathTest, MergeRejectsMismatchedSeeds) {
   b.hash_seed = a.hash_seed + 1;
   SubsampleSketch left(a), right(b);
   EXPECT_DEATH(left.merge_from(right), "hash_seed");
+}
+
+TEST(ContractsDeathTest, LadderRejectsMixedSeeds) {
+  // The ladder hashes each chunk once for every rung, so its rungs must
+  // share one seed (and one set universe).
+  std::vector<SketchParams> rungs = {valid_params(), valid_params()};
+  rungs[1].k = 4;
+  rungs[1].hash_seed = rungs[0].hash_seed + 1;
+  EXPECT_DEATH((SketchLadder{rungs, nullptr}), "hash_seed");
+  rungs[1].hash_seed = rungs[0].hash_seed;
+  rungs[1].num_sets = 11;
+  EXPECT_DEATH((SketchLadder{rungs, nullptr}), "num_sets");
 }
 
 TEST(ContractsDeathTest, WeightedSketchRejectsNonPositiveWeight) {

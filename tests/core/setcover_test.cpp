@@ -25,6 +25,14 @@ double coverage_fraction(const CoverageInstance& g, const std::vector<SetId>& so
          static_cast<double>(g.num_covered_by_all());
 }
 
+/// Algorithm 4's evaluation on a fresh view and a fresh solver.
+SubmoduleResult evaluate_fresh(const SubsampleSketch& sketch,
+                               const SubmoduleParams& sub) {
+  const SketchView view = sketch.view();
+  Solver solver(view);
+  return setcover_submodule_evaluate(view, solver, sub);
+}
+
 TEST(Submodule, DeriveMatchesPaperFormulas) {
   const SubmoduleParams sub = SubmoduleParams::derive(10, 0.5, 0.05);
   EXPECT_EQ(sub.k_prime, 10u);
@@ -43,7 +51,7 @@ TEST(Submodule, FeasibleWhenGuessIsLargeEnough) {
   SubsampleSketch sketch(submodule_sketch_params(60, sub, options, 4.0));
   VectorStream stream(ordered_edges(gen.graph, ArrivalOrder::kRandom, 1));
   sketch.consume(stream);
-  const SubmoduleResult result = setcover_submodule_evaluate(sketch, sub);
+  const SubmoduleResult result = evaluate_fresh(sketch, sub);
   EXPECT_TRUE(result.feasible);
   EXPECT_LE(result.solution.size(), sub.budget_sets);
 }
@@ -56,7 +64,7 @@ TEST(Submodule, InfeasibleWhenGuessTooSmall) {
   SubsampleSketch sketch(submodule_sketch_params(40, sub, options, 4.0));
   VectorStream stream(ordered_edges(gen.graph, ArrivalOrder::kRandom, 2));
   sketch.consume(stream);
-  const SubmoduleResult result = setcover_submodule_evaluate(sketch, sub);
+  const SubmoduleResult result = evaluate_fresh(sketch, sub);
   EXPECT_FALSE(result.feasible);
 }
 
@@ -64,7 +72,7 @@ TEST(Submodule, EmptySketchIsTriviallyFeasible) {
   const SubmoduleParams sub = SubmoduleParams::derive(2, 0.5, 0.05);
   const StreamingOptions options = options_with(0.3, 23);
   SubsampleSketch sketch(submodule_sketch_params(10, sub, options, 4.0));
-  const SubmoduleResult result = setcover_submodule_evaluate(sketch, sub);
+  const SubmoduleResult result = evaluate_fresh(sketch, sub);
   EXPECT_TRUE(result.feasible);
   EXPECT_TRUE(result.solution.empty());
 }
@@ -153,6 +161,39 @@ TEST(Outliers, ParallelLadderMatchesSerial) {
   EXPECT_EQ(a.accepted_k_prime, b.accepted_k_prime);
 }
 
+TEST(Outliers, SharedViewAcceptanceMatchesFreshSolverPerRung) {
+  // accept_smallest_guess evaluates every rung that reads one sketch on one
+  // view and one warm solver; a fresh view and solver per rung must accept
+  // the same guess with the same solution.
+  const GeneratedInstance gen = make_planted_setcover(80, 6, 50, 0.4, 15);
+  OutliersOptions options;
+  options.stream = options_with(0.5, 37);
+  options.lambda = 0.1;
+  const OutliersPlan plan = plan_outliers(80, options);
+  SketchLadder ladder = outliers_ladder(80, plan, options.stream, nullptr);
+  VectorStream stream(ordered_edges(gen.graph, ArrivalOrder::kRandom, 15));
+  ladder.consume(stream);
+  ASSERT_LT(ladder.sketch_count(), ladder.size());
+  const OutliersResult shared = accept_smallest_guess(ladder, plan, nullptr);
+  ASSERT_TRUE(shared.feasible);
+  // Guesses before the accepted one ran on the same warm solver.
+  EXPECT_GT(shared.accepted_k_prime, plan.guesses.front().k_prime);
+
+  std::size_t accepted = plan.guesses.size();
+  SubmoduleResult fresh;
+  for (std::size_t i = 0; i < plan.guesses.size(); ++i) {
+    fresh = evaluate_fresh(ladder.rung(i), plan.guesses[i]);
+    if (fresh.feasible) {
+      accepted = i;
+      break;
+    }
+  }
+  ASSERT_LT(accepted, plan.guesses.size());
+  EXPECT_EQ(shared.accepted_k_prime, plan.guesses[accepted].k_prime);
+  EXPECT_EQ(shared.solution, fresh.solution);
+  EXPECT_DOUBLE_EQ(shared.sketch_cover_fraction, fresh.sketch_cover_fraction);
+}
+
 TEST(Multipass, CoversEverythingOnPlanted) {
   const GeneratedInstance gen = make_planted_setcover(80, 6, 60, 0.4, 7);
   MultipassOptions options;
@@ -184,28 +225,12 @@ TEST(Multipass, MergedModeUsesRPasses) {
     MultipassOptions options;
     options.stream = options_with(0.5, 31);
     options.rounds = rounds;
-    options.merge_mark_pass = true;
     VectorStream stream(ordered_edges(gen.graph, ArrivalOrder::kRandom, 9));
     const MultipassResult result =
         streaming_setcover_multipass(stream, 60, gen.graph.num_elems(), options);
     EXPECT_EQ(result.passes, rounds) << "rounds=" << rounds;
     EXPECT_TRUE(result.covered_everything);
   }
-}
-
-TEST(Multipass, StrictModeUsesTwoPassesPerIteration) {
-  const GeneratedInstance gen = make_planted_setcover(60, 4, 50, 0.4, 10);
-  MultipassOptions options;
-  options.stream = options_with(0.5, 32);
-  options.rounds = 3;
-  options.merge_mark_pass = false;
-  VectorStream stream(ordered_edges(gen.graph, ArrivalOrder::kRandom, 10));
-  const MultipassResult result =
-      streaming_setcover_multipass(stream, 60, gen.graph.num_elems(), options);
-  // 1 (first sketch) + 2 per later iteration + final mark+collect:
-  // r=3 -> passes = 1 + 2 + 1 = 4.
-  EXPECT_EQ(result.passes, 4u);
-  EXPECT_TRUE(result.covered_everything);
 }
 
 TEST(Multipass, SingleRoundIsOfflineGreedyOverStoredEdges) {

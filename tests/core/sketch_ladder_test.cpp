@@ -23,15 +23,38 @@ std::vector<SketchParams> three_rungs(SetId n, std::uint64_t seed) {
   return rungs;
 }
 
-TEST(SketchLadder, EachRungMatchesStandaloneSketch) {
-  const GeneratedInstance gen = make_uniform(30, 800, 20, 5);
-  const auto edges = ordered_edges(gen.graph, ArrivalOrder::kRandom, 1);
-  const auto rung_params = three_rungs(30, 77);
+/// Algorithm 5's shape: one budget, and k alone sets the cap
+/// ceil(n ln(1/eps) / (eps k)) = ceil(120.4 / k) at n = 30, eps = 0.3. The
+/// caps 121, 61, 41 and 31 reach n and share one sketch; 16 and 17 share a
+/// binding cap of 8; 5, 8 and 32 stand alone: 5 sketches for 9 rungs.
+std::vector<SketchParams> algorithm5_rungs(SetId n, std::uint64_t seed) {
+  std::vector<SketchParams> rungs;
+  for (const std::uint32_t k : {1u, 2u, 3u, 4u, 5u, 8u, 16u, 17u, 32u}) {
+    SketchParams params;
+    params.num_sets = n;
+    params.k = k;
+    params.eps = 0.3;
+    params.budget_mode = BudgetMode::kExplicit;
+    params.explicit_budget = 600;
+    params.hash_seed = seed;
+    rungs.push_back(params);
+  }
+  return rungs;
+}
 
+/// Builds the ladder over `edges` and checks that it holds `sketches`
+/// distinct sketches and that every rung reads what a standalone per-edge
+/// sketch with its params holds: the view's CSR, p* and an estimate.
+void expect_rungs_match_standalone(const std::vector<SketchParams>& rung_params,
+                                   const std::vector<Edge>& edges,
+                                   std::size_t sketches) {
   SketchLadder ladder(rung_params, nullptr);
   VectorStream stream(edges);
   ladder.consume(stream);
+  ASSERT_EQ(ladder.size(), rung_params.size());
+  EXPECT_EQ(ladder.sketch_count(), sketches);
 
+  const std::vector<SetId> family = {0, 3, 7, 12};
   for (std::size_t r = 0; r < rung_params.size(); ++r) {
     SubsampleSketch standalone(rung_params[r]);
     for (const Edge& edge : edges) standalone.update(edge);
@@ -39,8 +62,39 @@ TEST(SketchLadder, EachRungMatchesStandaloneSketch) {
         << "rung " << r;
     EXPECT_EQ(ladder.rung(r).stored_edges(), standalone.stored_edges())
         << "rung " << r;
-    EXPECT_DOUBLE_EQ(ladder.rung(r).p_star(), standalone.p_star()) << "rung " << r;
+    const SketchView got = ladder.rung(r).view();
+    const SketchView want = standalone.view();
+    EXPECT_EQ(got.num_retained, want.num_retained) << "rung " << r;
+    EXPECT_EQ(got.set_offsets, want.set_offsets) << "rung " << r;
+    EXPECT_EQ(got.set_slots, want.set_slots) << "rung " << r;
+    EXPECT_DOUBLE_EQ(got.p_star, want.p_star) << "rung " << r;
+    EXPECT_DOUBLE_EQ(got.estimate_coverage(family),
+                     standalone.estimate_coverage(family))
+        << "rung " << r;
   }
+}
+
+TEST(SketchLadder, EachRungMatchesStandaloneSketch) {
+  const GeneratedInstance gen = make_uniform(30, 800, 20, 5);
+  const auto edges = ordered_edges(gen.graph, ArrivalOrder::kRandom, 1);
+  // Budgets differ per rung, so no two rungs share a sketch.
+  expect_rungs_match_standalone(three_rungs(30, 77), edges, 3);
+
+  // Elements of degree ~9 on average, so the caps below n bind.
+  const GeneratedInstance dense = make_uniform(30, 200, 60, 5);
+  const auto dense_edges = ordered_edges(dense.graph, ArrivalOrder::kRandom, 1);
+  const auto grid = algorithm5_rungs(30, 77);
+  ASSERT_GE(grid.front().degree_cap(), 30u);
+  ASSERT_LT(grid.back().degree_cap(), 30u);
+  expect_rungs_match_standalone(grid, dense_edges, 5);
+  // The caps below n do bind here: a cap of 4 leaves room for more elements.
+  SubsampleSketch uncapped(grid.front());
+  SubsampleSketch capped(grid.back());
+  for (const Edge& edge : dense_edges) {
+    uncapped.update(edge);
+    capped.update(edge);
+  }
+  EXPECT_GT(capped.retained_elements(), uncapped.retained_elements());
 }
 
 TEST(SketchLadder, ParallelEqualsSerial) {
@@ -80,34 +134,23 @@ TEST(SketchLadder, FilterHidesEdges) {
 }
 
 TEST(SketchLadder, PeakSpaceSumsRungs) {
-  const GeneratedInstance gen = make_uniform(20, 400, 15, 8);
-  const auto rung_params = three_rungs(20, 111);
+  // A shared sketch counts once: the sum runs over distinct sketches, which
+  // are contiguous runs of rungs.
+  const GeneratedInstance gen = make_uniform(30, 200, 60, 8);
+  const auto rung_params = algorithm5_rungs(30, 111);
   SketchLadder ladder(rung_params, nullptr);
   VectorStream stream(ordered_edges(gen.graph, ArrivalOrder::kRandom, 4));
   ladder.consume(stream);
   std::size_t sum = 0;
+  std::size_t distinct = 0;
   for (std::size_t r = 0; r < ladder.size(); ++r) {
-    sum += ladder.rung(r).peak_space_words();
+    if (r == 0 || &ladder.rung(r) != &ladder.rung(r - 1)) {
+      sum += ladder.rung(r).peak_space_words();
+      ++distinct;
+    }
   }
+  EXPECT_EQ(distinct, ladder.sketch_count());
   EXPECT_EQ(ladder.peak_space_words(), sum);
-}
-
-TEST(SketchLadder, UpdateAndChunkPathsAgree) {
-  const GeneratedInstance gen = make_uniform(15, 300, 10, 9);
-  const auto edges = ordered_edges(gen.graph, ArrivalOrder::kRandom, 5);
-  const auto rung_params = three_rungs(15, 123);
-
-  SketchLadder per_edge(rung_params, nullptr);
-  for (const Edge& edge : edges) per_edge.update(edge);
-
-  SketchLadder chunked(rung_params, nullptr);
-  chunked.update_chunk(edges);
-
-  for (std::size_t r = 0; r < rung_params.size(); ++r) {
-    EXPECT_EQ(per_edge.rung(r).stored_edges(), chunked.rung(r).stored_edges());
-    EXPECT_EQ(per_edge.rung(r).retained_elements(),
-              chunked.rung(r).retained_elements());
-  }
 }
 
 }  // namespace

@@ -4,10 +4,9 @@
 // results, identical tracked/peak space, and identical behavior when
 // ingestion CONTINUES past the restore point (cutoff, eviction order, arena free
 // lists, and table geometry all survive). Fuzzed over random streams, with
-// explicit budgets that cross saturation mid-stream, for all four sketch
-// types and the ladder (shared-key and mixed-seed). Corrupt, truncated, and
-// version-patched images must fail loudly — an error through the reader,
-// never a crash or a silently wrong sketch.
+// explicit budgets that cross saturation mid-stream, for every sketch type.
+// Corrupt, truncated, and version-patched images must fail loudly — an
+// error through the reader, never a crash or a silently wrong sketch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +17,6 @@
 #include <tuple>
 #include <vector>
 
-#include "core/sketch_ladder.hpp"
 #include "core/subsample_sketch.hpp"
 #include "core/weighted_sketch.hpp"
 #include "serve/file_pass.hpp"
@@ -192,36 +190,6 @@ TEST(Snapshot, WeightedRoundTripFuzz) {
     loaded->update_chunk(std::span<const WeightedEdge>(edges.data() + split,
                                                        edges.size() - split));
     expect_image_equal(original, *loaded, "weighted continued-ingest image");
-  }
-}
-
-TEST(Snapshot, LadderSharedAndMixedSeedRoundTrip) {
-  Rng rng(0x1ADDE4ULL);
-  for (const bool shared : {true, false}) {
-    const SetId n = 24;
-    std::vector<SketchParams> rung_params;
-    for (std::size_t r = 0; r < 4; ++r) {
-      SketchParams params = small_params(
-          n, shared ? 7 : 7 + r, 16 << r);  // mixed budgets; maybe mixed seeds
-      params.k = static_cast<std::uint32_t>(1 + r);
-      rung_params.push_back(params);
-    }
-    SketchLadder original(rung_params);
-    ASSERT_EQ(original.shares_keys(), shared);
-    const std::vector<Edge> edges = fuzz_edges(rng, n, 5000);
-    const std::size_t split = edges.size() / 2;
-    original.update_chunk(std::span<const Edge>(edges.data(), split));
-
-    std::optional<SketchLadder> loaded =
-        from_bytes<SketchLadder>(to_bytes(original));
-    ASSERT_TRUE(loaded);
-    ASSERT_EQ(loaded->size(), original.size());
-    ASSERT_EQ(loaded->shares_keys(), shared);  // recomputed from params
-    original.update_chunk(std::span<const Edge>(edges.data() + split,
-                                                edges.size() - split));
-    loaded->update_chunk(std::span<const Edge>(edges.data() + split,
-                                               edges.size() - split));
-    expect_image_equal(original, *loaded, "ladder continued-ingest image");
   }
 }
 

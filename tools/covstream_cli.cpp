@@ -231,8 +231,9 @@ int cmd_outliers(CliArgs& args) {
               options.lambda, result.solution.size(), result.accepted_k_prime);
   std::printf("  sketch coverage: %.4f (target >= %.4f)\n",
               result.sketch_cover_fraction, 1.0 - options.lambda);
-  std::printf("  ladder     : %zu rungs, %zu words total\n", result.ladder_rungs,
-              result.space_words);
+  std::printf("  ladder     : %zu rungs in %zu sketch%s, %zu words total\n",
+              result.ladder_rungs, result.ladder_sketches,
+              result.ladder_sketches == 1 ? "" : "es", result.space_words);
   std::printf("  passes     : %zu, wall %.2fs\n", result.passes, timer.seconds());
   return 0;
 }
@@ -245,7 +246,6 @@ int cmd_setcover(CliArgs& args) {
   options.stream.eps = args.get_double("eps", 0.5);
   options.stream.seed = args.get_size("seed", 1);
   options.rounds = args.get_size("rounds", 3);
-  options.merge_mark_pass = args.get_bool("merge_mark", true);
   EngineFlags engine(args);
   options.pool = engine.pool_ptr();
   options.stream.batch_edges = engine.batch_edges;
