@@ -36,12 +36,19 @@ inline int run_benchmark_json_main(int argc, char** argv,
   int count = static_cast<int>(args.size());
   benchmark::Initialize(&count, args.data());
   if (benchmark::ReportUnrecognizedArguments(count, args.data())) return 1;
-  // Stamp the dispatched kernel tier into the JSON context: numbers from
-  // different tiers are not comparable, and tools/bench_diff.py refuses to
-  // diff files whose covstream_isa entries disagree.
+  // Stamp the dispatched kernel tier, the compiler and whether assertions
+  // were compiled out into the JSON context: numbers that differ in any of
+  // them are not comparable, and tools/bench_diff.py refuses to diff files
+  // whose entries disagree (google-benchmark's own num_cpus included).
   benchmark::AddCustomContext("covstream_isa", isa_name(active_isa()));
   benchmark::AddCustomContext("covstream_cpu_features",
                               cpu_features().describe());
+  benchmark::AddCustomContext("covstream_compiler", __VERSION__);
+#ifdef NDEBUG
+  benchmark::AddCustomContext("covstream_ndebug", "true");
+#else
+  benchmark::AddCustomContext("covstream_ndebug", "false");
+#endif
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

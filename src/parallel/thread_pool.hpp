@@ -1,7 +1,8 @@
-// A small fixed-size thread pool. covstream uses it to update the Algorithm-5
-// sketch ladder concurrently and to parallelize bench sweeps; results are
-// bit-identical to serial execution because tasks touch disjoint state
-// (DESIGN.md §5.5).
+// A small fixed-size thread pool. covstream runs on it the stream engine's
+// shard workers (the pooled k-cover and sharded builds), the sketch ladder's
+// distinct sketches, the greedy solver's large picks, the L0 bank, the serve
+// fleet's connection tasks and bench sweeps. Results are bit-identical to
+// serial execution because tasks touch disjoint state (DESIGN.md §5.5).
 #pragma once
 
 #include <condition_variable>

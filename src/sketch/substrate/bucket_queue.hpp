@@ -23,6 +23,11 @@
 // pop lays the queue out afresh over the live range. Exactness rests on
 // monotone bucketing alone, never on that pattern: any push order pops the
 // same sequence.
+//
+// A default-constructed queue is one bucket with nothing open: every push
+// appends to its one chain, and the first opening lays the queue out over
+// the live range, whatever its pop count. So the substrate pushes from its
+// first admission and pays for a layout only once it evicts.
 #pragma once
 
 #include <algorithm>
@@ -57,21 +62,15 @@ class BucketQueue {
   bool empty() const { return size_ == 0; }
 
   /// How many times the queue has been laid out (assign, retain, or a pop
-  /// that re-spread crowded buckets).
+  /// that re-spread crowded buckets or opened a never-laid-out queue).
   std::size_t layouts() const { return layouts_; }
 
-  /// Empties the queue and lays out afresh the entries `visit(fn)` names
-  /// by calling `fn(key, slot)` (any order, distinct slots). It is called
-  /// twice — once to size the buckets, once to fill them — so a caller's
-  /// own key store feeds the queue without a staging copy.
-  template <typename Visit>
-  void assign_from(Visit&& visit) {
+  /// Empties the queue and lays `entries` out afresh (any order, distinct
+  /// slots).
+  void assign(std::span<const Entry> entries) {
     Key max{};
-    std::size_t count = 0;
-    visit([&](Key key, std::uint32_t) {
-      max = std::max(max, key);
-      ++count;
-    });
+    for (const Entry& entry : entries) max = std::max(max, entry.key);
+    const std::size_t count = entries.size();
     const std::size_t buckets = std::clamp<std::size_t>(
         std::bit_ceil(count / kEntriesPerBucket + 1), kMinBuckets, kMaxBuckets);
     heads_.assign(buckets, kNone);
@@ -86,14 +85,7 @@ class BucketQueue {
     size_ = 0;
     pops_since_layout_ = 0;
     ++layouts_;
-    visit([this](Key key, std::uint32_t slot) { push(key, slot); });
-  }
-
-  /// assign_from() a list of entries.
-  void assign(std::span<const Entry> entries) {
-    assign_from([entries](auto&& fn) {
-      for (const Entry& entry : entries) fn(entry.key, entry.slot);
-    });
+    for (const Entry& entry : entries) push(entry.key, entry.slot);
   }
 
   void push(Key key, std::uint32_t slot) {
@@ -119,7 +111,7 @@ class BucketQueue {
   /// Hints the cache that push(key, ...) is about to run: both lines of
   /// the chunk at the head of the key's bucket, the one the push writes
   /// (or, when full, links behind a fresh one). Purely advisory, like
-  /// FlatElemTable::prefetch_hashed; the queue must have been laid out.
+  /// FlatElemTable::prefetch_hashed.
   void prefetch_push(Key key) const {
 #if defined(__GNUC__) || defined(__clang__)
     const std::size_t bucket = bucket_of(key);
@@ -242,17 +234,19 @@ class BucketQueue {
   }
 
   /// Opens the highest non-empty bucket below the (empty) open one, laying
-  /// the queue out afresh first when the open index has fallen below B/8
-  /// or the queue has outgrown its bucket count. A relayout costs O(size +
-  /// B), so it also waits for (size + B)/8 pops since the last one: every
-  /// relayout is paid for by the pops before it.
+  /// the queue out afresh first when it never was, when the open index has
+  /// fallen below B/8, or when the queue has outgrown its bucket count. A
+  /// relayout of a laid-out queue costs O(size + B), so it also waits for
+  /// (size + B)/8 pops since the last one: every such relayout is paid for
+  /// by the pops before it.
   void open_next() {
     std::size_t bucket = highest_chain_below(open_bucket_);
     const std::size_t buckets = heads_.size();
     const bool crowded = bucket < buckets / 8 ||
                          (size_ > 4 * kEntriesPerBucket * buckets &&
                           buckets < kMaxBuckets);
-    if (crowded && 8 * pops_since_layout_ >= size_ + buckets) {
+    if (layouts_ == 0 ||
+        (crowded && 8 * pops_since_layout_ >= size_ + buckets)) {
       retain([](std::uint32_t) { return true; });
       bucket = highest_chain_below(heads_.size());
     }
@@ -272,11 +266,11 @@ class BucketQueue {
     std::sort(open_.begin(), open_.end());
   }
 
-  std::vector<std::uint32_t> heads_;  // bucket -> first chunk, or kNone
+  std::vector<std::uint32_t> heads_{kNone};  // bucket -> first chunk, or kNone
   std::vector<Chunk> chunks_;         // pooled chains; free ones linked
   std::uint32_t free_chunk_ = kNone;
   std::vector<Entry> open_;           // the open bucket, ascending
-  std::size_t open_bucket_ = 0;       // chains at or above it are empty
+  std::size_t open_bucket_ = 1;       // chains at or above it are empty
   double scale_ = 0.0;
   std::size_t size_ = 0;
   std::size_t pops_since_layout_ = 0;

@@ -18,8 +18,8 @@
 //   * FlatElemTable — open-addressing elem -> slot index;
 //   * elem_/span_ — parallel slot arrays, free-list slot reuse;
 //   * EdgeArena — one uint32 slab holding every edge list;
-//   * keys — a flat per-slot array until the first eviction, then a
-//     BucketQueue of (key, slot) entries with one liveness bit per slot.
+//   * keys — a BucketQueue of (key, slot) entries, one per live slot from
+//     its admission, and one liveness bit per slot.
 //
 // Hot paths come in two shapes (DESIGN.md §5.8): the per-edge admit() and
 // the chunk-vectorized admit_batch(), which pre-filters a whole chunk
@@ -104,7 +104,6 @@ class MinHashCore {
     // push_back reallocation copies from the insert phase.
     elem_.reserve(presize);
     span_.reserve(presize);
-    key_slot_.reserve(presize);
     tracked_space_words_ = base_space_words + table_.space_words();
     // Peak must start at the current footprint, not zero: a never-updated
     // sketch would otherwise report peak < tracked, and its snapshot would
@@ -256,12 +255,8 @@ class MinHashCore {
   }
 
   /// Evicts max-key elements while over budget (never below one element:
-  /// a single element's capped degree may alone exceed the budget). The
-  /// first overflow moves the flat key store into the eviction queue
-  /// (DESIGN.md §5.8); before that point admission never pays a queue push.
+  /// a single element's capped degree may alone exceed the budget).
   void enforce_budget() {
-    if (stored_edges_ <= edge_budget_) return;
-    ensure_queue();
     while (stored_edges_ > edge_budget_ && queue_.size() > 1) evict_max();
   }
 
@@ -295,22 +290,10 @@ class MinHashCore {
   Key cutoff() const { return cutoff_; }
 
   /// Largest retained key; requires a nonempty sketch. The queue answers
-  /// from its open bucket, or else a scan of its highest non-empty bucket;
-  /// before it exists this is a linear scan of the flat key store (queried
-  /// once per view/estimate, never per edge).
-  Key max_live_key() const {
-    if (queue_built_) return queue_.max_key();
-    COVSTREAM_CHECK(live_elements() > 0);
-    Key best{};
-    bool any = false;
-    for (const Key key : key_slot_) {
-      if (key != infinite_key_ && (!any || key > best)) {
-        best = key;
-        any = true;
-      }
-    }
-    return best;
-  }
+  /// from its open bucket, or else a scan of its highest non-empty bucket —
+  /// all of it before the first eviction (queried once per view/estimate,
+  /// never per edge).
+  Key max_live_key() const { return queue_.max_key(); }
 
   std::size_t live_elements() const { return elem_.size() - free_slots_.size(); }
   std::size_t stored_edges() const { return stored_edges_; }
@@ -322,14 +305,9 @@ class MinHashCore {
     return static_cast<std::uint32_t>(elem_.size());
   }
 
-  /// Liveness: the slot's bit once the queue exists, else a flat key below
-  /// infinite_key_ (a live key is always strictly below it, so it doubles
-  /// as the flat store's dead-slot marker).
+  /// Liveness: the slot's bit.
   bool alive(std::uint32_t slot) const {
-    if (queue_built_) {
-      return slot < elem_.size() && ((live_[slot >> 6] >> (slot & 63)) & 1u);
-    }
-    return slot < key_slot_.size() && key_slot_[slot] != infinite_key_;
+    return slot < elem_.size() && ((live_[slot >> 6] >> (slot & 63)) & 1u);
   }
 
   /// Calls `fn(set)` on the slot's stored sets, in ascending order.
@@ -346,22 +324,13 @@ class MinHashCore {
   }
 
   /// Calls `fn(key, stored_edges)` once per live slot, in no particular
-  /// order — a read-only scan of the flat key store, or of the queue's
-  /// entries once it exists (the sharded builder histograms shard keys
-  /// with it).
+  /// order — a read-only scan of the queue's entries (the sharded builder
+  /// histograms shard keys with it).
   template <typename Fn>
   void for_each_live(Fn&& fn) const {
-    if (queue_built_) {
-      queue_.for_each([&](const auto& entry) {
-        fn(entry.key, std::size_t{span_[entry.slot].size});
-      });
-      return;
-    }
-    for (std::uint32_t slot = 0; slot < slot_count(); ++slot) {
-      if (key_slot_[slot] != infinite_key_) {
-        fn(key_slot_[slot], std::size_t{span_[slot].size});
-      }
-    }
+    queue_.for_each([&](const auto& entry) {
+      fn(entry.key, std::size_t{span_[entry.slot].size});
+    });
   }
 
   /// Builds the solver CSR (set -> compact live-slot index) shared by both
@@ -403,39 +372,27 @@ class MinHashCore {
   /// valid key-prefix sketch of the surviving subgraph (the cutoff is
   /// untouched, so purged elements may be re-admitted later). The predicate
   /// is a template parameter so Algorithm 6's once-per-slot residual checks
-  /// inline.
-  /// In queue mode the purged slots' bits are cleared first and the queue
-  /// is laid out once at the end, without them.
+  /// inline. The purged slots' bits are cleared first and the queue is
+  /// laid out once at the end, without them.
   template <typename Pred>
   void purge(Pred&& pred) {
     bool purged = false;
     for (std::uint32_t slot = 0; slot < slot_count(); ++slot) {
       if (alive(slot) && pred(elem_[slot])) {
-        destroy_slot(slot);
+        release_slot(slot);
         purged = true;
       }
     }
-    if (purged && queue_built_) {
+    if (purged) {
       queue_.retain([this](std::uint32_t slot) { return alive(slot); });
     }
   }
 
-  /// Drops every live slot whose key reached the cutoff (merge housekeeping).
-  /// The queue hands over its victims from the top; they are destroyed in
-  /// ascending slot order either way, so the free list comes out the same.
+  /// Drops every live slot whose key reached the cutoff (merge housekeeping
+  /// and the sharded builder's shared bound): evict_max's pop loop, victim
+  /// lookahead included, so victims go in descending (key, slot) order.
   void purge_at_or_above_cutoff() {
-    if (!queue_built_) {
-      for (std::uint32_t slot = 0; slot < slot_count(); ++slot) {
-        if (alive(slot) && key_slot_[slot] >= cutoff_) destroy_slot(slot);
-      }
-      return;
-    }
-    victims_.clear();
-    while (!queue_.empty() && queue_.top().key >= cutoff_) {
-      victims_.push_back(queue_.pop_max().slot);
-    }
-    std::sort(victims_.begin(), victims_.end());
-    for (const std::uint32_t slot : victims_) destroy_slot(slot);
+    while (!queue_.empty() && queue_.top().key >= cutoff_) evict_max();
   }
 
   /// Union-merge of two prefix sketches sharing set universe, key function,
@@ -457,8 +414,7 @@ class MinHashCore {
   void merge_from(const MinHashCore& other, AdoptSlot&& adopt) {
     lower_cutoff(other.cutoff_);
     purge_at_or_above_cutoff();
-    std::vector<Key> scratch;
-    const std::vector<Key>& their_keys = other.keys_by_slot(scratch);
+    const std::vector<Key> their_keys = other.keys_by_slot();
     for (std::uint32_t theirs = 0; theirs < other.slot_count(); ++theirs) {
       // Dead slots hold infinite_key_, which is never below the cutoff.
       if (their_keys[theirs] >= cutoff_) continue;
@@ -514,23 +470,21 @@ class MinHashCore {
            arena.space_words() + words_for_u32(free_count);
   }
 
-  /// The key store's metered words: one flat key per slot, or once the
-  /// queue exists two words per queued (key, slot) entry plus one liveness
-  /// bit per slot. Bucket heads and chunk slack are unmetered, like vector
-  /// capacity, so the meter does not depend on the queue's layout.
-  static std::size_t key_store_words(bool queue_built, std::size_t slots,
-                                     std::size_t live) {
-    return queue_built ? 2 * live + words_for_bits(slots) : slots;
+  /// The key store's metered words: two per queued (key, slot) entry plus
+  /// one liveness bit per slot. Bucket heads and chunk slack are unmetered,
+  /// like vector capacity, so the meter does not depend on the queue's
+  /// layout.
+  static std::size_t key_store_words(std::size_t slots, std::size_t live) {
+    return 2 * live + words_for_bits(slots);
   }
 
   /// Analytic space in 8-byte words (DESIGN.md §5.2): actual footprint of
-  /// the table buckets, slot arrays, key store (flat array before the first
-  /// eviction, queue entries and liveness bits after), and edge slab. This
-  /// is the audit re-sum; the hot paths read tracked_space_words().
+  /// the table buckets, slot arrays, key store (queue entries and liveness
+  /// bits), and edge slab. This is the audit re-sum; the hot paths read
+  /// tracked_space_words().
   std::size_t space_words() const {
-    const std::size_t key_words =
-        queue_built_ ? 2 * queue_.size() + live_.size() : key_slot_.size();
-    return audit_space_words(table_, elem_.size(), key_words, arena_,
+    return audit_space_words(table_, elem_.size(),
+                             2 * queue_.size() + live_.size(), arena_,
                              free_slots_.size());
   }
 
@@ -563,19 +517,19 @@ class MinHashCore {
 
   // ----------------------------------------------------------- persistence --
   /// Serializes the complete core state — admission parameters, cutoff, slot
-  /// arrays, free list, one key per slot (infinite_key_ for dead slots, in
-  /// either key-store mode), table, and arena, plus the incremental space
-  /// counters (docs/FORMATS.md §3 'CORE'). The queue's layout and scratch
-  /// buffers are not state and are not written. load(save(S)) answers every
-  /// query (and tracked_space_words()) bit-for-bit like S and continues
-  /// ingesting identically.
+  /// arrays, free list, one key per slot (infinite_key_ for dead slots),
+  /// table, and arena, plus the incremental space counters (docs/FORMATS.md
+  /// §3 'CORE'). The key-store mode byte is always 1, the queue. The queue's
+  /// layout and scratch buffers are not state and are not written.
+  /// load(save(S)) answers every query (and tracked_space_words())
+  /// bit-for-bit like S and continues ingesting identically.
   void save(SnapshotWriter& writer) const {
     writer.begin_section(snapshot_tag('C', 'O', 'R', 'E'));
     writer.u64(degree_cap_);
     writer.u64(edge_budget_);
     snapshot_write_key(writer, infinite_key_);
     snapshot_write_key(writer, cutoff_);
-    writer.u8(queue_built_ ? 1 : 0);
+    writer.u8(1);
     writer.u64(stored_edges_);
     writer.u64(base_space_words_);
     writer.u64(tracked_space_words_);
@@ -590,8 +544,7 @@ class MinHashCore {
       writer.u8(span.cap_log2);
     }
     writer.u32_array(free_slots_);
-    std::vector<Key> scratch;
-    const std::vector<Key>& keys = keys_by_slot(scratch);
+    const std::vector<Key> keys = keys_by_slot();
     writer.u64(keys.size());
     for (const Key key : keys) snapshot_write_key(writer, key);
     table_.save(writer);
@@ -603,10 +556,13 @@ class MinHashCore {
   /// (degree cap, edge budget, infinite key) must match the constructed
   /// core's — the owning sketch constructs itself from its saved params
   /// first, so a mismatch means the snapshot pairs a core with the wrong
-  /// policy. In queue mode the queue is laid out afresh from the keys, and
-  /// pops the saved queue's sequence (its order depends on the entries
-  /// only). Cross-checks every structural invariant (key-store mode, array
-  /// parity, span form, bounds and contents, liveness vs. free list, table
+  /// policy. The keys are pushed on a fresh queue, which pops the saved
+  /// queue's sequence (its order depends on the entries only). Mode byte 0
+  /// is a never-evicted core from a build that kept a flat key store until
+  /// the first eviction (docs/FORMATS.md §6): its counters are audited with
+  /// that store's one word per slot, then re-metered as the queue.
+  /// Cross-checks every structural invariant (key-store mode, array parity,
+  /// span form, bounds and contents, liveness vs. free list, table
   /// membership, stored-edge total, tracked-vs-audit space) and fails the
   /// reader — returning false — on the first violation. Every stored list must be
   /// strictly ascending below the constructed set universe (the checksum is
@@ -629,12 +585,11 @@ class MinHashCore {
     }
     Key cutoff{};
     snapshot_read_key(reader, cutoff);
-    const std::uint8_t queue_byte = reader.u8();
-    if (reader.ok() && queue_byte > 1) {
+    const std::uint8_t mode = reader.u8();
+    if (reader.ok() && mode > 1) {
       return reader.fail("minhash core: key-store mode byte is neither 0 "
                          "(flat) nor 1 (queue)");
     }
-    const bool queue_built = queue_byte == 1;
     const std::uint64_t stored_edges = reader.u64();
     const std::uint64_t base_space = reader.u64();
     const std::uint64_t tracked_space = reader.u64();
@@ -661,8 +616,8 @@ class MinHashCore {
       return reader.fail("minhash core: key store size differs from the "
                          "slot arrays");
     }
-    std::vector<Key> key_slot(static_cast<std::size_t>(key_count));
-    for (Key& key : key_slot) snapshot_read_key(reader, key);
+    std::vector<Key> keys(static_cast<std::size_t>(key_count));
+    for (Key& key : keys) snapshot_read_key(reader, key);
     FlatElemTable table;
     EdgeArena arena(arena_.num_sets());
     // slab_claimed marks every slab word owned by a free block (filled by
@@ -681,7 +636,7 @@ class MinHashCore {
       is_free[slot] = true;
     }
     for (std::uint32_t slot = 0; slot < elem.size(); ++slot) {
-      const bool alive = key_slot[slot] != infinite_key_;
+      const bool alive = keys[slot] != infinite_key_;
       if (alive == is_free[slot]) {
         return reader.fail("minhash core: liveness disagrees with free list");
       }
@@ -701,7 +656,7 @@ class MinHashCore {
       // snapshot fail here instead of loading as silently-poisoned
       // estimates (every NaN comparison is false, so no ordering check
       // could catch them).
-      if (!(key_slot[slot] <= cutoff)) {
+      if (!(keys[slot] <= cutoff)) {
         return reader.fail("minhash core: retained key above the cutoff");
       }
       if (s.size > degree_cap_) {
@@ -717,10 +672,12 @@ class MinHashCore {
       return reader.fail("minhash core: edge/liveness totals inconsistent");
     }
     // The tracked counter must equal the audit re-sum of the loaded pieces —
-    // the same invariant the batch equivalence tests fuzz at runtime.
+    // the same invariant the batch equivalence tests fuzz at runtime — with
+    // the key store metered as it was saved.
+    const std::size_t key_words = key_store_words(elem.size(), live);
+    const std::size_t saved_key_words = mode == 1 ? key_words : elem.size();
     const std::uint64_t audit = audit_space_words(
-        table, elem.size(), key_store_words(queue_built, elem.size(), live),
-        arena, free_slots.size());
+        table, elem.size(), saved_key_words, arena, free_slots.size());
     if (tracked_space != base_space + policy_space_words + audit ||
         peak_space < tracked_space) {
       return reader.fail("minhash core: space counters disagree with audit");
@@ -729,18 +686,24 @@ class MinHashCore {
     cutoff_ = cutoff;
     stored_edges_ = static_cast<std::size_t>(stored_edges);
     base_space_words_ = static_cast<std::size_t>(base_space);
-    tracked_space_words_ = static_cast<std::size_t>(tracked_space);
-    peak_space_words_ = static_cast<std::size_t>(peak_space);
+    // Both counters include the saved key store (the audit passed), so the
+    // re-meter cannot underflow; it is zero for mode 1.
+    tracked_space_words_ =
+        static_cast<std::size_t>(tracked_space) - saved_key_words + key_words;
+    peak_space_words_ =
+        static_cast<std::size_t>(peak_space) - saved_key_words + key_words;
     elem_ = std::move(elem);
     span_ = std::move(span);
     free_slots_ = std::move(free_slots);
-    key_slot_ = std::move(key_slot);
     table_ = std::move(table);
     arena_ = std::move(arena);
-    queue_built_ = false;
     queue_ = BucketQueue<Key>();
-    live_.clear();
-    if (queue_built) move_keys_to_queue();
+    live_.assign(words_for_bits(elem_.size()), 0);
+    for (std::uint32_t slot = 0; slot < elem_.size(); ++slot) {
+      if (keys[slot] == infinite_key_) continue;
+      set_live(slot);
+      queue_.push(keys[slot], slot);
+    }
     return true;
   }
 
@@ -788,7 +751,7 @@ class MinHashCore {
         const std::uint32_t slot = ahead[at % kSlotAhead];
         if (slot != kNoSlot) {
           arena_.prefetch_insert(span_[slot], set_of(index_at(at)));
-        } else if (queue_built_) {
+        } else {
           queue_.prefetch_push(keys[index_at(at)]);
         }
       }
@@ -821,90 +784,38 @@ class MinHashCore {
                                : free_slots_.back();
   }
 
-  /// Claims next_slot_id() and makes it live for `elem`/`key`; the table
-  /// entry must already exist (find_or_insert or insert stored it). Before
-  /// the first eviction the key lands in the flat key store (one word);
-  /// after it, in the queue, and the slot's liveness bit is set.
+  /// Claims next_slot_id() and makes it live for `elem`/`key`: sets its
+  /// liveness bit and pushes (key, slot) on the queue. The table entry must
+  /// already exist (find_or_insert or insert stored it).
   void commit_slot(std::uint32_t slot, ElemId elem, Key key) {
+    std::ptrdiff_t grown = 2;  // the queue entry
     if (free_slots_.empty()) {
+      // Hottest admission shape: +1 elem word, +2 span words (16-byte
+      // Span), and a liveness word every 64 slots.
       elem_.push_back(elem);
       span_.emplace_back();
-      if (!queue_built_) {
-        key_slot_.push_back(key);
-        // Analytic delta, hottest admission shape: +1 elem word, +2 span
-        // words (16-byte Span), +1 flat key word.
-        adjust_space(4);
-      } else {
-        // +1 elem, +2 span, +2 queue entry, and a liveness word every 64
-        // slots.
-        std::size_t grown = 0;
-        if (live_.size() < words_for_bits(elem_.size())) {
-          live_.push_back(0);
-          grown = 1;
-        }
-        set_live(slot);
-        queue_.push(key, slot);
-        adjust_space(static_cast<std::ptrdiff_t>(5 + grown));
+      grown += 3;
+      if (live_.size() < words_for_bits(elem_.size())) {
+        live_.push_back(0);
+        ++grown;
       }
     } else {
-      // Slot reuse: the free list shrinks (half-word granularity) and the
-      // key store takes the new key (+2 words for a queue entry).
+      // Slot reuse: the free list shrinks (half-word granularity).
       const std::size_t free_before = words_for_u32(free_slots_.size());
       free_slots_.pop_back();
       elem_[slot] = elem;
       span_[slot] = EdgeArena::Span{};
-      const std::size_t free_after = words_for_u32(free_slots_.size());
-      if (!queue_built_) {
-        key_slot_[slot] = key;
-        adjust_space(delta(free_before, free_after));
-      } else {
-        set_live(slot);
-        queue_.push(key, slot);
-        adjust_space(delta(free_before, free_after + 2));
-      }
+      grown += delta(free_before, words_for_u32(free_slots_.size()));
     }
+    set_live(slot);
+    queue_.push(key, slot);
+    adjust_space(grown);
   }
 
-  /// Moves the flat key store into the eviction queue (first budget
-  /// overflow). Eviction order is that of any max-(key, slot) queue: the
-  /// layout never changes which entry pops. The net space swap (flat words
-  /// out, queue entries and liveness bits in) is one delta, so no
-  /// transient double-count hits the peak.
-  void ensure_queue() {
-    if (queue_built_) return;
-    const std::size_t before = key_slot_.size();
-    move_keys_to_queue();
-    adjust_space(delta(before, 2 * queue_.size() + live_.size()));
-  }
-
-  /// ensure_queue()'s move without the meter (the loader restores the
-  /// saved counters instead).
-  void move_keys_to_queue() {
-    live_.assign(words_for_bits(key_slot_.size()), 0);
-    // assign_from visits twice; setting a bit twice is harmless.
-    queue_.assign_from([this](auto&& fn) {
-      for (std::uint32_t slot = 0;
-           slot < static_cast<std::uint32_t>(key_slot_.size()); ++slot) {
-        if (key_slot_[slot] == infinite_key_) continue;
-        set_live(slot);
-        fn(key_slot_[slot], slot);
-      }
-    });
-    key_slot_.clear();
-    key_slot_.shrink_to_fit();
-    queue_built_ = true;
-  }
-
-  /// Calls `fn(slot)` on every live slot in ascending order: a scan of the
-  /// flat keys, or of the liveness words' set bits once the queue exists.
+  /// Calls `fn(slot)` on every live slot in ascending order: a walk of the
+  /// liveness words' set bits.
   template <typename Fn>
   void for_each_live_slot(Fn&& fn) const {
-    if (!queue_built_) {
-      for (std::uint32_t slot = 0; slot < key_slot_.size(); ++slot) {
-        if (key_slot_[slot] != infinite_key_) fn(slot);
-      }
-      return;
-    }
     for (std::size_t word = 0; word < live_.size(); ++word) {
       for (std::uint64_t bits = live_[word]; bits != 0; bits &= bits - 1) {
         fn(static_cast<std::uint32_t>(64 * word + std::countr_zero(bits)));
@@ -912,15 +823,12 @@ class MinHashCore {
     }
   }
 
-  /// Keys by slot, infinite_key_ marking dead slots: the flat store itself,
-  /// or once the queue exists its entries scattered into `scratch`.
-  const std::vector<Key>& keys_by_slot(std::vector<Key>& scratch) const {
-    if (!queue_built_) return key_slot_;
-    scratch.assign(elem_.size(), infinite_key_);
-    queue_.for_each([&scratch](const auto& entry) {
-      scratch[entry.slot] = entry.key;
-    });
-    return scratch;
+  /// Keys by slot, infinite_key_ marking dead slots: the queue's entries
+  /// scattered.
+  std::vector<Key> keys_by_slot() const {
+    std::vector<Key> keys(elem_.size(), infinite_key_);
+    queue_.for_each([&keys](const auto& entry) { keys[entry.slot] = entry.key; });
+    return keys;
   }
 
   void set_live(std::uint32_t slot) {
@@ -951,36 +859,23 @@ class MinHashCore {
       table_.prefetch(elem_[open[open.size() - kVictimTableAhead].slot]);
     }
     lower_cutoff(key);
+    release_slot(slot);
+  }
+
+  /// Shared tail of eviction and purge: clears the slot's liveness bit and
+  /// returns its storage to the free lists. The caller owns the slot's queue
+  /// entry (evict_max popped it, purge(pred) drops it when it lays the queue
+  /// out again), whose 2 words leave the meter here; the freed edge block
+  /// stays in the slab and the free-slot list may round up half a word, so
+  /// the net is applied as one delta (no transient peak).
+  void release_slot(std::uint32_t slot) {
     clear_live(slot);
-    release_slot(slot, /*freed_key_words=*/2);
-  }
-
-  /// Destroys a live slot outside eviction. In queue mode the caller owns
-  /// the slot's queue entry: purge_at_or_above_cutoff already popped it,
-  /// purge(pred) drops it when it lays the queue out again.
-  void destroy_slot(std::uint32_t slot) {
-    if (queue_built_) {
-      clear_live(slot);
-      release_slot(slot, /*freed_key_words=*/2);
-    } else {
-      key_slot_[slot] = infinite_key_;  // dead marker; word stays counted
-      release_slot(slot, /*freed_key_words=*/0);
-    }
-  }
-
-  /// Shared tail of eviction/purge: returns the slot's storage to the free
-  /// lists. `freed_key_words` is the queue entry removed (2 words, or 0
-  /// before the queue, where the flat key word remains counted); the freed
-  /// edge block stays in the slab and the free-slot list may round up half
-  /// a word, so the net is applied as one delta (no transient peak).
-  void release_slot(std::uint32_t slot, std::size_t freed_key_words) {
     const std::size_t free_before = words_for_u32(free_slots_.size());
     stored_edges_ -= span_[slot].size;
     table_.erase(elem_[slot]);
     arena_.release(span_[slot]);
     free_slots_.push_back(slot);
-    adjust_space(delta(freed_key_words + free_before,
-                       words_for_u32(free_slots_.size())));
+    adjust_space(delta(2 + free_before, words_for_u32(free_slots_.size())));
   }
 
   /// Victim lookahead distances, in pops (see evict_max).
@@ -994,11 +889,8 @@ class MinHashCore {
 
   FlatElemTable table_;
   EdgeArena arena_;
-  std::vector<Key> key_slot_;     // flat key store until the first eviction;
-                                  // infinite_key_ marks dead slots
-  BucketQueue<Key> queue_;        // (key, slot) entries once queue_built_
-  std::vector<std::uint64_t> live_;  // liveness bit per slot, queue mode
-  bool queue_built_ = false;
+  BucketQueue<Key> queue_;           // one (key, slot) entry per live slot
+  std::vector<std::uint64_t> live_;  // liveness bit per slot
   std::vector<ElemId> elem_;
   std::vector<EdgeArena::Span> span_;
   std::vector<std::uint32_t> free_slots_;
@@ -1010,12 +902,10 @@ class MinHashCore {
 
   // Reusable scratch (not part of the sketch's analytic footprint):
   // admit_batch survivor indices and per-position bucket hashes, merge_from
-  // union staging, cutoff-purge victims, build_csr compaction map and
-  // per-set cursors.
+  // union staging, build_csr compaction map and per-set cursors.
   std::vector<std::uint32_t> survivors_;
   std::vector<std::uint64_t> bucket_hashes_;
   std::vector<SetId> merge_scratch_;
-  std::vector<std::uint32_t> victims_;
   mutable std::vector<std::uint32_t> csr_compact_;
   mutable std::vector<std::size_t> csr_cursor_;
 };

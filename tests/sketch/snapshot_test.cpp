@@ -12,8 +12,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "sketch/substrate/edge_arena.hpp"
 #include "sketch/substrate/snapshot.hpp"
 #include "stream/arrival_order.hpp"
+#include "stream/file_stream.hpp"
 #include "util/rng.hpp"
 #include "workloads/generators.hpp"
 #include "scratch_dir.hpp"
@@ -431,7 +435,7 @@ ForgeTarget forge_target() {
   const std::size_t span_count_at = elem_at + 8 + 8 * read_u64(image, elem_at);
   target.span_count = read_u64(image, span_count_at);
   target.spans_at = span_count_at + 8;
-  // Past the spans: arr<u32> free slots, the flat key store, then the
+  // Past the spans: arr<u32> free slots, the keys by slot, then the
   // 'TBLE' section (skipped by its length) and 'ARNA', whose body opens
   // with the slab's arr<u32>.
   const std::size_t free_at = target.spans_at + 14 * target.span_count;
@@ -456,13 +460,17 @@ std::string forged_load_error(std::vector<std::uint8_t> image) {
   return error;
 }
 
+/// Byte offset of CORE's key-store mode byte: after the section tag and
+/// length, cap, budget, infinite key and cutoff.
+std::size_t core_mode_offset(const std::vector<std::uint8_t>& image) {
+  return find_tag(image, snapshot_tag('C', 'O', 'R', 'E'), 32) + 4 + 8 * 5;
+}
+
 TEST(Snapshot, ForgedQueueFlagFails) {
-  // CORE's key-store mode byte sits after tag, length, cap, budget,
-  // infinite key and cutoff. The sample sketch is saturated (mode 1); any
-  // other value than 0 or 1 is refused, not read as "queue".
+  // The sample sketch is saturated (mode 1); any other value than 0 or 1 is
+  // refused, not read as "queue".
   const std::vector<std::uint8_t> image = sample_image();
-  const std::size_t mode_at =
-      find_tag(image, snapshot_tag('C', 'O', 'R', 'E'), 32) + 4 + 8 * 5;
+  const std::size_t mode_at = core_mode_offset(image);
   ASSERT_EQ(image[mode_at], 1u);
   for (const std::uint8_t forged : {std::uint8_t{2}, std::uint8_t{255}}) {
     std::vector<std::uint8_t> bad = image;
@@ -470,6 +478,63 @@ TEST(Snapshot, ForgedQueueFlagFails) {
     const std::string error = forged_load_error(std::move(bad));
     EXPECT_NE(error.find("key-store mode"), std::string::npos) << error;
   }
+}
+
+// ------------------------------------------- images of an earlier build ----
+
+/// CORE's tracked space counter in `image`: after the mode byte, the
+/// stored edges and the base words.
+std::uint64_t core_tracked_words(const std::vector<std::uint8_t>& image) {
+  return read_u64(image, core_mode_offset(image) + 1 + 8 + 8);
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(Snapshot, ImagesOfTheFlatKeyStoreBuildLoad) {
+  // Written by covstream_cli built at commit 67abc76, the last build that
+  // kept a never-evicted core's keys in a flat per-slot store (CORE mode
+  // byte 0) and moved them into the eviction queue at the first overflow
+  // (mode 1), from tests/data:
+  //   covstream_cli --cmd=generate --family=zipf --n=12 --m=600
+  //       --min_size=20 --max_size=200 --seed=5 --out=compat_edges.bin
+  //   covstream_cli --cmd=ingest --input=compat_edges.bin --n=12 --k=3
+  //       --eps=0.1 --seed=1 --out=compat_never_evicted.snap
+  //   covstream_cli --cmd=ingest --input=compat_edges.bin --n=12 --k=3
+  //       --eps=0.5 --seed=1 --out=compat_saturated.snap
+  // A saturated image is what this build writes, byte for byte. A
+  // never-evicted one loads re-metered with the queue's key store, and
+  // then is what this build writes for the same edges.
+  const std::string dir = COVSTREAM_TEST_DATA_DIR;
+  const std::vector<std::uint8_t> saturated =
+      read_file(dir + "/compat_saturated.snap");
+  const std::vector<std::uint8_t> never_evicted =
+      read_file(dir + "/compat_never_evicted.snap");
+  ASSERT_FALSE(saturated.empty());
+  ASSERT_FALSE(never_evicted.empty());
+  ASSERT_EQ(saturated[core_mode_offset(saturated)], 1u);
+  ASSERT_EQ(never_evicted[core_mode_offset(never_evicted)], 0u);
+
+  std::string error;
+  const std::optional<SubsampleSketch> evicted =
+      from_bytes<SubsampleSketch>(saturated, &error);
+  ASSERT_TRUE(evicted) << error;
+  EXPECT_TRUE(evicted->saturated());
+  EXPECT_EQ(to_bytes(*evicted), saturated);
+
+  const std::optional<SubsampleSketch> migrated =
+      from_bytes<SubsampleSketch>(never_evicted, &error);
+  ASSERT_TRUE(migrated) << error;
+  EXPECT_FALSE(migrated->saturated());
+  // save() writes the tracked counter as it stands.
+  EXPECT_EQ(core_tracked_words(to_bytes(*migrated)), migrated->space_words());
+  SubsampleSketch rebuilt(migrated->params());
+  BinaryFileStream edges(dir + "/compat_edges.bin");
+  rebuilt.consume(edges);
+  ASSERT_EQ(rebuilt.stored_edges(), 442u);
+  EXPECT_EQ(to_bytes(*migrated), to_bytes(rebuilt));
 }
 
 TEST(Snapshot, ForgeTargetLoadsUnforged) {

@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <set>
-#include <tuple>
 #include <vector>
 
 #include "core/subsample_sketch.hpp"
@@ -375,6 +375,70 @@ TEST(EvictionQueue, RelaysOutWhenTheOpenBucketFallsBelowAnEighth) {
   while (!reference.empty()) expect_same_pop(queue, reference);
 }
 
+/// Pushes 3000 keys from `draw` on a default-constructed queue, which takes
+/// them on its one chain without a layout, then interleaves pops with more
+/// pushes: the first pop lays the queue out once, with no pops behind it,
+/// and every pop matches the reference.
+template <typename Key, typename Draw>
+void check_queue_that_starts_empty(Draw&& draw) {
+  BucketQueue<Key> queue;
+  std::set<std::pair<Key, std::uint32_t>> reference;
+  std::uint32_t slot = 0;
+  for (; slot < 3000; ++slot) {
+    const Key key = draw();
+    queue.push(key, slot);
+    reference.emplace(key, slot);
+  }
+  EXPECT_EQ(queue.layouts(), 0u);
+  EXPECT_EQ(queue.max_key(), reference.rbegin()->first);
+  expect_same_pop(queue, reference);
+  EXPECT_EQ(queue.layouts(), 1u);
+  for (int step = 0; step < 6000; ++step) {
+    if (step % 3 == 0) {
+      expect_same_pop(queue, reference);
+      continue;
+    }
+    const Key key = draw();
+    queue.push(key, slot);
+    reference.emplace(key, slot++);
+  }
+  while (!reference.empty()) expect_same_pop(queue, reference);
+}
+
+TEST(EvictionQueue, QueueThatStartsEmptyPopsInReferenceOrder) {
+  // Drained straight after the pushes, with no layout before the first pop:
+  // keys over the whole 64-bit range (range 0), then below 50, so that most
+  // keys tie, then exponential clocks.
+  Rng rng(0xE3B7);
+  for (const std::uint64_t range : {std::uint64_t{0}, std::uint64_t{50}}) {
+    U64Queue queue;
+    std::set<KeySlot> reference;
+    for (std::uint32_t slot = 0; slot < 4000; ++slot) {
+      const std::uint64_t key = range == 0 ? rng.next() : rng.next_below(range);
+      queue.push(key, slot);
+      reference.emplace(key, slot);
+    }
+    while (!reference.empty()) expect_same_pop(queue, reference);
+    EXPECT_TRUE(queue.empty());
+  }
+  BucketQueue<double> clocks;
+  std::set<std::pair<double, std::uint32_t>> clock_reference;
+  for (std::uint32_t slot = 0; slot < 4000; ++slot) {
+    const double key = -std::log1p(-rng.next_unit()) / (1.0 + slot % 7);
+    clocks.push(key, slot);
+    clock_reference.emplace(key, slot);
+  }
+  while (!clock_reference.empty()) expect_same_pop(clocks, clock_reference);
+}
+
+TEST(EvictionQueue, QueueThatStartsEmptyLaysOutOnceAtItsFirstOpening) {
+  Rng rng(0x0FE7);
+  check_queue_that_starts_empty<std::uint64_t>([&] { return rng.next(); });
+  check_queue_that_starts_empty<double>([&] {
+    return 0.125 * static_cast<double>(rng.next_below(std::uint64_t{400}));
+  });
+}
+
 TEST(EvictionQueue, RetainDropsEntriesAndKeepsOrder) {
   Rng rng(0x9E4B);
   std::vector<U64Queue::Entry> entries;
@@ -397,7 +461,8 @@ TEST(EvictionQueue, RetainDropsEntriesAndKeepsOrder) {
 
 /// An independent MinHashCore model over std containers: admission below
 /// the cutoff, degree cap, max-(key, slot) eviction through a std::set, the
-/// same free-list discipline, and ascending-slot purges.
+/// same free-list discipline, ascending-slot purges by predicate, and cutoff
+/// purges by descending (key, slot).
 template <typename Key>
 class ReferenceCore {
  public:
@@ -437,6 +502,15 @@ class ReferenceCore {
   void purge(Pred&& pred) {
     for (std::uint32_t slot = 0; slot < elem_.size(); ++slot) {
       if (alive(slot) && pred(elem_[slot])) release(slot);
+    }
+  }
+
+  /// Lowers the cutoff to `cutoff` and releases every entry at or above the
+  /// result, the largest (key, slot) first.
+  void lower_cutoff(Key cutoff) {
+    cutoff_ = std::min(cutoff_, cutoff);
+    while (!order_.empty() && order_.rbegin()->first >= cutoff_) {
+      release(order_.rbegin()->second);
     }
   }
 
@@ -485,9 +559,21 @@ MinHashCore<Key> reload(const MinHashCore<Key>& core, SetId num_sets,
   return loaded;
 }
 
+/// One step of run_against_reference: an edge (elem, key, set), a purge of
+/// the elements divisible by a nonzero `purge_modulus`, or with
+/// `lower_cutoff` a cutoff purge down to `key`.
+template <typename Key>
+struct CoreStep {
+  ElemId elem = 0;
+  Key key = 0;
+  SetId set = 0;
+  std::uint64_t purge_modulus = 0;
+  bool lower_cutoff = false;
+};
+
 /// Drives a core, its every-step reload and the reference through the same
-/// updates (`step(i)` returns the i-th (elem, key, set) or a purge request)
-/// and compares liveness, cutoff, edges, max key, images and the meter.
+/// steps (`step(i)` returns the i-th CoreStep) and compares liveness,
+/// cutoff, edges, max key, images and the meter.
 template <typename Key, typename Step>
 void run_against_reference(SetId num_sets, std::size_t cap, std::size_t budget,
                            Key infinite, int steps, Step&& step) {
@@ -495,21 +581,28 @@ void run_against_reference(SetId num_sets, std::size_t cap, std::size_t budget,
   MinHashCore<Key> reloaded(num_sets, cap, budget, infinite);
   ReferenceCore<Key> reference(cap, budget, infinite);
   for (int i = 0; i < steps; ++i) {
-    const auto [elem, key, set, purge_modulus] = step(i);
-    if (purge_modulus != 0) {
-      const auto pred = [m = purge_modulus](ElemId e) { return e % m == 0; };
+    const CoreStep<Key> s = step(i);
+    if (s.lower_cutoff) {
+      for (MinHashCore<Key>* target : {&core, &reloaded}) {
+        target->lower_cutoff(s.key);
+        target->purge_at_or_above_cutoff();
+      }
+      reference.lower_cutoff(s.key);
+    } else if (s.purge_modulus != 0) {
+      const auto pred = [m = s.purge_modulus](ElemId e) { return e % m == 0; };
       core.purge(pred);
       reloaded.purge(pred);
       reference.purge(pred);
     } else {
       for (MinHashCore<Key>* target : {&core, &reloaded}) {
         bool created = false;
-        const std::uint32_t slot = target->admit(elem, key, created);
-        if (slot != MinHashCore<Key>::kNoSlot && target->add_edge(slot, set)) {
+        const std::uint32_t slot = target->admit(s.elem, s.key, created);
+        if (slot != MinHashCore<Key>::kNoSlot &&
+            target->add_edge(slot, s.set)) {
           target->enforce_budget();
         }
       }
-      reference.update(elem, key, set);
+      reference.update(s.elem, s.key, s.set);
     }
     reloaded = reload(reloaded, num_sets, cap, budget, infinite);
     ASSERT_EQ(core_image(core), core_image(reloaded)) << "step " << i;
@@ -529,12 +622,7 @@ void run_against_reference(SetId num_sets, std::size_t cap, std::size_t budget,
   }
 }
 
-struct CoreStep {
-  ElemId elem = 0;
-  std::uint64_t key = 0;
-  SetId set = 0;
-  std::uint64_t purge_modulus = 0;  // nonzero: purge elements divisible by it
-};
+using U64Step = CoreStep<std::uint64_t>;
 
 TEST(EvictionQueue, CoreMatchesReferenceThroughPurgeAndRelayout) {
   // 600 elements, budget 60: the cutoff falls far below an eighth of the
@@ -543,7 +631,7 @@ TEST(EvictionQueue, CoreMatchesReferenceThroughPurgeAndRelayout) {
   Rng rng(0xC0DE);
   const Mix64Hash hash(0x77);
   run_against_reference<std::uint64_t>(
-      30, 4, 60, ~0ULL, 3000, [&](int i) -> CoreStep {
+      30, 4, 60, ~0ULL, 3000, [&](int i) -> U64Step {
         if (i == 1200 || i == 2100) return {0, 0, 0, 3};
         const ElemId e = rng.next_below(std::uint64_t{600});
         return {e, hash(e), static_cast<SetId>(rng.next_below(std::uint64_t{30})),
@@ -557,7 +645,7 @@ TEST(EvictionQueue, WeightedEqualKeysMatchReference) {
   Rng rng(0xE0A1);
   run_against_reference<double>(
       20, 3, 40, std::numeric_limits<double>::infinity(), 2000,
-      [&](int i) -> std::tuple<ElemId, double, SetId, std::uint64_t> {
+      [&](int i) -> CoreStep<double> {
         if (i == 900) return {0, 0.0, 0, 4};
         const ElemId e = rng.next_below(std::uint64_t{300});
         return {e, 0.125 * static_cast<double>(e % 16),
@@ -565,12 +653,52 @@ TEST(EvictionQueue, WeightedEqualKeysMatchReference) {
       });
 }
 
+TEST(EvictionQueue, CutoffPurgeMatchesReference) {
+  // The shared bound's purge: every few hundred edges the cutoff halves and
+  // every entry at or above it goes, largest (key, slot) first, which fixes
+  // the free list and so the slots later elements take. Once with a budget
+  // no stream can overflow (200 elements of capped degree 4: a shard behind
+  // the shared bound, whose evictions all come from the bound) and once
+  // with one that evicts too.
+  for (const std::size_t budget : {std::size_t{800}, std::size_t{80}}) {
+    Rng rng(0xB0D5 + budget);
+    const Mix64Hash hash(0x3C);
+    std::uint64_t cutoff = ~0ULL;
+    run_against_reference<std::uint64_t>(
+        30, 4, budget, ~0ULL, 1500, [&](int i) -> U64Step {
+          if (i % 250 == 249) {
+            cutoff >>= 1;
+            return {0, cutoff, 0, 0, true};
+          }
+          if (i == 700) return {0, 0, 0, 5};
+          const ElemId e = rng.next_below(std::uint64_t{200});
+          return {e, hash(e),
+                  static_cast<SetId>(rng.next_below(std::uint64_t{30})), 0};
+        });
+  }
+  // Weighted clocks with ties at the cutoff itself: an entry whose key
+  // equals the new cutoff goes too.
+  for (const std::size_t budget : {std::size_t{600}, std::size_t{50}}) {
+    Rng rng(0xC10C + budget);
+    run_against_reference<double>(
+        20, 3, budget, std::numeric_limits<double>::infinity(), 1200,
+        [&](int i) -> CoreStep<double> {
+          if (i % 300 == 299) {
+            return {0, 0.125 * static_cast<double>(12 - i / 300), 0, 0, true};
+          }
+          const ElemId e = rng.next_below(std::uint64_t{200});
+          return {e, 0.125 * static_cast<double>(e % 16),
+                  static_cast<SetId>(rng.next_below(std::uint64_t{20})), 0};
+        });
+  }
+}
+
 TEST(EvictionQueue, LoneElementOverTheBudgetIsNeverEvicted) {
   // One element's capped degree (6) alone exceeds the budget (4): the
-  // queue is built at the overflow with that single entry and nothing is
-  // evicted. A second element with a larger key evicts itself, a smaller
-  // one evicts the first.
-  const std::vector<CoreStep> steps = {
+  // queue holds that single entry at the overflow and nothing is evicted.
+  // A second element with a larger key evicts itself, a smaller one evicts
+  // the first.
+  const std::vector<U64Step> steps = {
       {7, 500, 0}, {7, 500, 1}, {7, 500, 2}, {7, 500, 3}, {7, 500, 4},
       {7, 500, 5}, {7, 500, 6}, {9, 900, 1}, {9, 900, 2}, {3, 100, 0},
       {3, 100, 1}, {5, 50, 2},  {7, 500, 7}, {3, 100, 2}};

@@ -25,11 +25,13 @@ change that explains it. CI runs this script as a non-blocking step —
 shared-runner noise makes hard gating counterproductive, but the log keeps
 the trend visible on every PR.
 
-Each JSON records the dispatched SIMD tier in its context
-("covstream_isa", stamped by bench/benchmark_json_main.hpp). Comparing a
-scalar run against an avx2 baseline (or vice versa) measures the dispatch
-choice, not the change under review, so mismatched files are refused —
-rerun with COVSTREAM_ISA set to the baseline's tier instead.
+Each JSON records its run context: the dispatched SIMD tier
+("covstream_isa"), the compiler ("covstream_compiler") and whether NDEBUG
+was set ("covstream_ndebug"), all stamped by bench/benchmark_json_main.hpp,
+and the host's CPU count ("num_cpus", google-benchmark's own). Comparing
+files that differ in any of these measures the tier, the host or the build,
+not the change under review, so such a pair is refused. A file without an
+entry (written before it was stamped) passes on that entry.
 """
 
 import argparse
@@ -37,25 +39,35 @@ import json
 import sys
 
 
-def load_isa(path):
-    """The 'covstream_isa' context entry, or None for pre-kernel JSONs."""
+# Context entries two files must share to be compared, each with what a
+# diff across them would measure instead of the change.
+MATCHED_CONTEXT = {
+    "covstream_isa": "the SIMD tier (rerun with COVSTREAM_ISA set to the "
+                     "baseline's tier, or refresh the baseline)",
+    "num_cpus": "a different host",
+    "covstream_compiler": "a different compiler",
+    "covstream_ndebug": "a build with assertions on against one without",
+}
+
+
+def load_context(path):
     with open(path) as fh:
-        data = json.load(fh)
-    return data.get("context", {}).get("covstream_isa")
+        return json.load(fh).get("context", {})
 
 
-def check_same_isa(fresh_path, baseline_path):
-    """Refuses cross-ISA comparisons; files without the key pass (legacy)."""
-    fresh_isa = load_isa(fresh_path)
-    base_isa = load_isa(baseline_path)
-    if fresh_isa and base_isa and fresh_isa != base_isa:
-        print(f"refusing to compare across SIMD tiers: {fresh_path} was "
-              f"measured under '{fresh_isa}' but {baseline_path} under "
-              f"'{base_isa}'. Rerun the benchmark with "
-              f"COVSTREAM_ISA={base_isa} (or refresh the baseline).",
-              file=sys.stderr)
-        return False
-    return True
+def check_same_context(fresh_path, baseline_path):
+    """Refuses a pair whose MATCHED_CONTEXT entries differ; an entry missing
+    from either file passes (legacy)."""
+    fresh, base = load_context(fresh_path), load_context(baseline_path)
+    same = True
+    for key, measures in MATCHED_CONTEXT.items():
+        if key in fresh and key in base and fresh[key] != base[key]:
+            print(f"refusing to compare: {fresh_path} has {key}="
+                  f"{fresh[key]!r} but {baseline_path} has {key}="
+                  f"{base[key]!r}; the diff would measure {measures}.",
+                  file=sys.stderr)
+            same = False
+    return same
 
 
 def load_family_times(path):
@@ -163,7 +175,7 @@ def main():
     if args.fresh is None:
         parser.error("fresh JSON required unless --doc is given")
 
-    if not check_same_isa(args.fresh, args.baseline):
+    if not check_same_context(args.fresh, args.baseline):
         return 1
 
     fresh = load_family_times(args.fresh)
